@@ -30,8 +30,8 @@ observers.  Elements added to the subtree later are covered transitively:
 their attachment mutates an already-observed container, which invalidates
 the entry before the new element can matter.
 
-While the incremental engine's read instrumentation is active
-(``kernel._READ_HOOK``), the cache is bypassed entirely — same protocol
+While the incremental engine's dependency tracking is active
+(``kernel._TRACKING``), the cache is bypassed entirely — same protocol
 as :class:`~repro.mof.index.ModelIndex` — so dependency tracking records
 the true read set of every consistency unit.
 """
@@ -192,11 +192,11 @@ def reachability(machine: StateMachine) -> Optional[ReachabilitySummary]:
     """The memoised reachable-state/trigger summary of *machine*.
 
     Cached until any element of the machine's subtree changes; bypasses
-    the cache while kernel read instrumentation is active so incremental
+    the cache while dependency tracking is active so incremental
     checkers observe their true read sets.
     """
     global HITS, MISSES
-    if _kernel._READ_HOOK is not None:
+    if _kernel._TRACKING:
         return compute_reachability(machine)
     entry = _CACHE.get(id(machine))
     if entry is not None:

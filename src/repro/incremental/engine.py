@@ -11,10 +11,21 @@ diagnostics and its exact read set.  A change notification then
 invalidates precisely the units whose last run read the changed slot;
 everything else is served from cache.
 
-Containment edits additionally mark the membership index dirty: the next
-:meth:`IncrementalEngine.revalidate` re-walks the containment tree (a
-cheap traversal compared to checking), creates units for elements that
-entered the scope and drops units for elements that left.
+Element membership comes from the model's
+:class:`~repro.mof.index.ModelIndex`, which already derives enter/leave
+transitions from containment-side notifications and root hooks.  The
+engine walks the containment tree once, for its first build; after that
+:meth:`IncrementalEngine.revalidate` applies only the transitions
+recorded since the last pass — creating units for elements that entered
+the scope and dropping units for elements that left — so its cost
+follows the edit, not the model.  Root units are reconciled from a diff
+of ``model.roots``.
+
+Reports are assembled the same way: only units with diagnostics keep a
+result entry, and each unit carries its insertion sequence, so a report
+sorts those few entries into unit order instead of scanning every unit.
+:meth:`IncrementalEngine.verify` recomputes membership and reports from
+scratch and lists any difference.
 
 The unit decomposition mirrors the batch checkers exactly —
 ``validate_tree`` (structure + registered invariants),
@@ -27,6 +38,7 @@ thousands of random edits.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -53,9 +65,12 @@ from .tracking import CONTAINER_KEY, DependencyGraph, ReadKey, collect_reads
 # ---------------------------------------------------------------------------
 
 class _Unit:
-    """One independently re-runnable check with memoised diagnostics."""
+    """One independently re-runnable check with memoised diagnostics.
 
-    __slots__ = ()
+    ``seq`` is the engine's insertion sequence number for the unit; it
+    orders reports without a scan over every unit."""
+
+    __slots__ = ("seq",)
     kind = "?"
 
     def run(self) -> List[Diagnostic]:
@@ -177,7 +192,7 @@ class EngineStats:
     notifications: int = 0     # change notifications received
     invalidations: int = 0     # units marked dirty by notifications
     unit_runs: int = 0         # units (re-)executed, lifetime
-    syncs: int = 0             # membership re-walks
+    syncs: int = 0             # membership syncs
     revalidations: int = 0     # revalidate() calls
     last_rerun: int = 0        # units re-executed by the last revalidate()
     last_skipped: int = 0      # units served from cache by it
@@ -269,10 +284,17 @@ class IncrementalEngine:
         self.config = config
 
         self._units: Dict[tuple, _Unit] = {}
+        # non-empty results only; a unit that reports nothing has no entry
         self._results: Dict[tuple, Tuple[Diagnostic, ...]] = {}
+        self._next_seq = itertools.count()
+        self._kind_counts: Counter = Counter()   # unit kind -> live units
         self._deps = DependencyGraph()
         self._dirty: Set[tuple] = set()
         self._elements: Dict[int, Element] = {}
+        # membership transitions since the last sync: id -> (element,
+        # entered by the latest one)
+        self._transitions: Dict[int, Tuple[Element, bool]] = {}
+        self._built = False
         self._element_keys: Dict[int, List[tuple]] = {}
         self._root_keys: Dict[int, List[tuple]] = {}
         self._mc_counts: Dict[MetaClass, int] = {}
@@ -284,6 +306,8 @@ class IncrementalEngine:
         self._txn_listener = None
         self.stats = EngineStats()
         self.model.observe(self._on_change)
+        self._index = self.model.index()
+        self._index.listeners.append(self._on_membership)
         self._attached = True
 
     # -- lifecycle ---------------------------------------------------------
@@ -311,6 +335,7 @@ class IncrementalEngine:
         """Stop observing; the caches stay readable but go stale silently."""
         if self._attached:
             self.model.unobserve(self._on_change)
+            self._index.listeners.remove(self._on_membership)
             for element in self._external.values():
                 element.unobserve(self._on_external_change)
             self._external.clear()
@@ -353,12 +378,16 @@ class IncrementalEngine:
 
     def _add_unit(self, key: tuple, unit: _Unit,
                   keys: List[tuple]) -> None:
+        unit.seq = next(self._next_seq)
         self._units[key] = unit
+        self._kind_counts[unit.kind] += 1
         self._dirty.add(key)
         keys.append(key)
 
     def _drop_unit(self, key: tuple) -> None:
-        self._units.pop(key, None)
+        unit = self._units.pop(key, None)
+        if unit is not None:
+            self._kind_counts[unit.kind] -= 1
         self._results.pop(key, None)
         self._deps.drop(key)
         self._dirty.discard(key)
@@ -465,17 +494,29 @@ class IncrementalEngine:
 
     def _sync_structure(self) -> None:
         self.stats.syncs += 1
-        current: Dict[int, Element] = {}
-        for root in self.model.roots:
-            current[id(root)] = root
-            for element in root.all_contents():
-                current.setdefault(id(element), element)
-        for element_id in [i for i in self._elements if i not in current]:
-            self._remove_element(element_id, self._elements[element_id])
-        for element_id, element in current.items():
-            if element_id not in self._elements:
+        transitions, self._transitions = self._transitions, {}
+        if not self._built:
+            # the one full walk: preorder fixes the initial unit order
+            for element in self.model.all_elements():
+                if id(element) not in self._elements:
+                    self._elements[id(element)] = element
+                    self._add_element(element)
+            self._built = True
+        else:
+            # every removal before any addition, as a re-walk would: a
+            # metaclass whose last instance leaves while another enters
+            # gets its metaclass-level units rebuilt
+            entered: List[Element] = []
+            for element_id, (element, inside) in transitions.items():
+                if inside:
+                    if element_id not in self._elements:
+                        entered.append(element)
+                elif element_id in self._elements:
+                    del self._elements[element_id]
+                    self._remove_element(element_id, element)
+            for element in entered:
+                self._elements[id(element)] = element
                 self._add_element(element)
-        self._elements = current
 
         old_root_ids = {id(root) for root in self._roots_snapshot}
         new_root_ids = {id(root) for root in self.model.roots}
@@ -490,18 +531,17 @@ class IncrementalEngine:
 
         # elements observed individually while outside the scope are now
         # covered by the model-level observer
-        for element_id in [i for i in self._external if i in current]:
+        for element_id in [i for i in self._external
+                           if i in self._elements]:
             self._external.pop(element_id).unobserve(self._on_external_change)
         self._structure_dirty = False
 
-    def _roots_changed(self) -> bool:
-        roots = self.model.roots
-        if len(roots) != len(self._roots_snapshot):
-            return True
-        return any(a is not b
-                   for a, b in zip(roots, self._roots_snapshot))
-
     # -- change intake -----------------------------------------------------
+
+    def _on_membership(self, element: Element, entered: bool) -> None:
+        # an index transition; the latest one per element decides at sync
+        self._transitions[id(element)] = (element, entered)
+        self._structure_dirty = True
 
     def _on_change(self, notification: Notification) -> None:
         self.stats.notifications += 1
@@ -512,12 +552,10 @@ class IncrementalEngine:
             for value in (notification.old, notification.new):
                 if isinstance(value, Element):
                     self._invalidate((value, CONTAINER_KEY))
-            self._structure_dirty = True
         opposite = feature.opposite if isinstance(feature, Reference) \
             else None
         if opposite is not None and opposite.containment:
             self._invalidate((element, CONTAINER_KEY))
-            self._structure_dirty = True
 
     def _on_external_change(self, notification: Notification) -> None:
         # same handling; delivered directly by an element outside the
@@ -554,7 +592,10 @@ class IncrementalEngine:
         except Exception as exc:  # noqa: BLE001 - isolation is the point
             self._quarantine_unit(key, unit, exc, reads)
             return
-        self._results[key] = tuple(diagnostics)
+        if diagnostics:
+            self._results[key] = tuple(diagnostics)
+        else:
+            self._results.pop(key, None)
         self._deps.set_reads(key, reads)
         self._note_external_reads(reads)
         self.stats.unit_runs += 1
@@ -640,7 +681,7 @@ class IncrementalEngine:
 
     def _revalidate_impl(self) -> ValidationReport:
         self.stats.revalidations += 1
-        if self._structure_dirty or self._roots_changed():
+        if self._structure_dirty:
             self._sync_structure()
         dirty, self._dirty = self._dirty, set()
         rerun = 0
@@ -666,7 +707,7 @@ class IncrementalEngine:
         decomposition, zero memoisation — what a benchmark should compare
         :meth:`revalidate` against.
         """
-        if self._structure_dirty or self._roots_changed():
+        if self._structure_dirty:
             self._sync_structure()
         report = ValidationReport()
         for unit in self._units.values():
@@ -675,19 +716,25 @@ class IncrementalEngine:
 
     # -- results -----------------------------------------------------------
 
+    def _result_keys(self) -> List[tuple]:
+        """The keys of the non-empty results, in unit insertion order."""
+        units = self._units
+        return sorted(self._results, key=lambda key: units[key].seq)
+
     def report(self) -> ValidationReport:
         """The merged cached diagnostics of every unit (no recomputation)."""
         report = ValidationReport()
-        for key in self._units:
-            report.diagnostics.extend(self._results.get(key, ()))
+        for key in self._result_keys():
+            report.diagnostics.extend(self._results[key])
         return report
 
     def report_by_kind(self) -> Dict[str, ValidationReport]:
-        """Cached diagnostics split per checker family (unit ``kind``)."""
-        out: Dict[str, ValidationReport] = {}
-        for key, unit in self._units.items():
-            out.setdefault(unit.kind, ValidationReport()) \
-                .diagnostics.extend(self._results.get(key, ()))
+        """Cached diagnostics split per checker family (unit ``kind``);
+        every kind that has units is present, even with no diagnostics."""
+        out = {kind: ValidationReport()
+               for kind, count in self._kind_counts.items() if count}
+        for key in self._result_keys():
+            out[self._units[key].kind].diagnostics.extend(self._results[key])
         return out
 
     def check_result(self):
@@ -707,6 +754,52 @@ class IncrementalEngine:
 
     def unit_count(self) -> int:
         return len(self._units)
+
+    def verify(self) -> List[str]:
+        """Compare membership and reports against a recomputation from
+        scratch; return a list of discrepancies (empty when consistent).
+
+        Meant to run right after :meth:`revalidate`: edits made since
+        then are not yet applied and show up as discrepancies.
+        """
+        walked = {id(element): element
+                  for element in self.model.all_elements()}
+        problems = [f"missing from engine: {element!r}"
+                    for key, element in walked.items()
+                    if key not in self._elements]
+        problems += [f"stale in engine: {element!r}"
+                     for key, element in self._elements.items()
+                     if key not in walked]
+        roots = {id(root): root for root in self.model.roots}
+        problems += [f"root without units: {root!r}"
+                     for key, root in roots.items()
+                     if key not in self._root_keys]
+        problems += [f"units for a removed root: id {key}"
+                     for key in self._root_keys if key not in roots]
+        orphans = [key for key in self._results if key not in self._units]
+        problems += [f"result kept for a dropped unit: {key!r}"
+                     for key in orphans]
+        problems += [f"empty result kept: {key!r}"
+                     for key, diagnostics in self._results.items()
+                     if not diagnostics]
+        if orphans:
+            return problems     # the report scan below needs every unit
+        # the reference: a scan of every unit, in unit order
+        scanned: List[Diagnostic] = []
+        by_kind: Dict[str, List[Diagnostic]] = {}
+        for key, unit in self._units.items():
+            diagnostics = self._results.get(key, ())
+            scanned.extend(diagnostics)
+            by_kind.setdefault(unit.kind, []).extend(diagnostics)
+        if list(map(id, self.report().diagnostics)) != list(map(id, scanned)):
+            problems.append("report() differs from the scan of every unit")
+        split = {kind: list(map(id, report.diagnostics))
+                 for kind, report in self.report_by_kind().items()}
+        if split != {kind: list(map(id, found))
+                     for kind, found in by_kind.items()}:
+            problems.append(
+                "report_by_kind() differs from the scan of every unit")
+        return problems
 
     def __repr__(self) -> str:
         return (f"<IncrementalEngine model={self.model.uri!r} "

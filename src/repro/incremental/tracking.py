@@ -34,7 +34,9 @@ def collect_reads(into: Set[ReadKey]) -> Iterator[Set[ReadKey]]:
 
     Nestable: a previously installed hook keeps seeing every read, so an
     engine revalidating inside another engine's tracked run does not
-    blind it.
+    blind it.  The block also raises the kernel's tracking depth, which
+    turns off every bulk fast path that would answer without those
+    per-element reads.
     """
     previous = kernel.set_read_hook(None)
     if previous is None:
@@ -45,9 +47,11 @@ def collect_reads(into: Set[ReadKey]) -> Iterator[Set[ReadKey]]:
             into.add((obj, name))
             previous(obj, name)
     kernel.set_read_hook(hook)
+    kernel._TRACKING += 1
     try:
         yield into
     finally:
+        kernel._TRACKING -= 1
         kernel.set_read_hook(previous)
 
 

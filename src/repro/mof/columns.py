@@ -30,9 +30,10 @@ Staleness protocol — the same discipline as :class:`~repro.mof.index.ModelInde
   feeds the dependency-tracking read hook.
 * ``Model.add_root``/``remove_root`` call :meth:`root_added` /
   :meth:`root_removed` directly (root changes emit no notification).
-* While a dependency read hook is installed (``kernel._READ_HOOK``), all
-  bulk reads answer ``None`` so callers fall back to the per-object path
-  the incremental engine can observe.
+* While dependency tracking is active (``kernel._TRACKING``), all bulk
+  reads answer ``None`` so callers fall back to the per-object path the
+  incremental engine can observe.  A counting read probe alone (such as
+  ``repro.obs.enable()`` installs) does not switch them off.
 
 Columns hold **no authority**: the object slots stay the single source of
 truth, a stale block is simply rebuilt from the extent on next read, and
@@ -225,10 +226,7 @@ class ColumnStore:
             self._invalidate_meta(node.meta)
             if self._built == 0:
                 return
-            for feature in node.meta.all_features().values():
-                if not (isinstance(feature, Reference)
-                        and feature.containment):
-                    continue
+            for feature in node.meta.containment_features():
                 if feature.many:
                     slot = node._slots.get(feature.name)
                     if slot is not None:
@@ -263,10 +261,10 @@ class ColumnStore:
                           name: str) -> Optional[List[Any]]:
         """The effective values of single-valued attribute *name* over all
         elements conforming to *metaclass*, in ``instances_of`` order — or
-        ``None`` when the column path does not apply (read hook active,
+        ``None`` when the column path does not apply (tracking active,
         no such feature, many-valued/reference feature, or a subclass
         redefining the feature with a different shape)."""
-        if _kernel._READ_HOOK is not None:
+        if _kernel._TRACKING:
             return None
         feature = metaclass.find_feature(name)
         if not isinstance(feature, Attribute) or feature.many:

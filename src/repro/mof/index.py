@@ -30,11 +30,20 @@ Staleness protocol — how the index stays honest against the live model:
   rebinds them, both silently — so :meth:`resolve_eid` cross-checks the
   hit (same eid, still indexed) and falls back to a repairing scan on a
   miss.  Extent membership has no such silent channel.
-* **Read-hook gating.**  While a dependency-tracking read hook is
-  installed (``kernel._READ_HOOK``), the incremental engine derives
-  invalidation sets from per-element reads; answering from the index
-  would hide those reads, so all fast paths defer to the legacy scans
-  whenever a hook is active.
+* **Tracking gating.**  While dependency tracking is active
+  (``kernel._TRACKING``, raised by ``collect_reads``), the incremental
+  engine derives invalidation sets from per-element reads; answering
+  from the index would hide those reads, so all fast paths defer to the
+  legacy scans.  A counting read probe alone does not gate them.
+
+Membership listeners: the enter/leave transitions derived above are
+also handed to every callable in :attr:`ModelIndex.listeners` as
+``listener(element, entered)``, once per real transition (an element
+already indexed does not re-enter).  The incremental engine takes its
+element membership from these instead of re-walking the tree, so one
+protocol serves both.  The subtree walk happens at notification time,
+which keeps "detach, mutate while detached, reattach" exact: the
+detached subtree leaves as it was, and re-enters as it is.
 
 ``REPRO_INDEX_VERIFY=1`` cross-checks every indexed answer against the
 scan it replaced (the equivalence oracle the property tests use).
@@ -43,7 +52,7 @@ scan it replaced (the equivalence oracle the property tests use).
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from .kernel import Element, MetaClass
 from .notify import ChangeKind, Notification
@@ -75,6 +84,9 @@ class ModelIndex:
         self._extent: Dict[MetaClass, Dict[int, Element]] = {}
         self._ids: Dict[int, Element] = {}
         self._eids: Dict[str, Element] = {}
+        #: called as ``listener(element, entered)`` on every membership
+        #: transition (see the module docstring)
+        self.listeners: List[Callable[[Element, bool], None]] = []
         self.hits = 0
         self.eid_scans = 0
         self.rebuilds = 0
@@ -103,6 +115,8 @@ class ModelIndex:
         eid = element._eid
         if eid is not None:
             self._eids[eid] = element
+        if self.listeners:
+            self._announce(element, True)
 
     def _remove_one(self, element: Element) -> None:
         key = id(element)
@@ -116,6 +130,17 @@ class ModelIndex:
         eid = element._eid
         if eid is not None and self._eids.get(eid) is element:
             del self._eids[eid]
+        if self.listeners:
+            self._announce(element, False)
+
+    def _announce(self, element: Element, entered: bool) -> None:
+        # snapshot + live-membership check, as Model._element_changed does:
+        # a listener removed mid-dispatch (a server connection closing on
+        # another thread) is neither called nor lets the loop skip one
+        listeners = self.listeners
+        for listener in tuple(listeners):
+            if listener in listeners:
+                listener(element, entered)
 
     def _add_tree(self, element: Element) -> None:
         self._add_one(element)

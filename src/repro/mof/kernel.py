@@ -68,6 +68,14 @@ reparented."""
 
 _READ_HOOK = None
 
+#: Nesting depth of dependency-tracked reads, raised and lowered by
+#: :func:`repro.incremental.tracking.collect_reads`.  Bulk fast paths
+#: (extent index, column store, reachability memo, sharding) answer
+#: without the per-element reads a tracker must record, so they test
+#: this depth rather than :data:`_READ_HOOK`: a counting probe such as
+#: the one ``repro.obs.enable()`` installs must not switch them off.
+_TRACKING = 0
+
 
 def set_read_hook(hook):
     """Install *hook* as the kernel-wide read observer; return the old one.
@@ -78,7 +86,8 @@ def set_read_hook(hook):
     walks report the pseudo-feature :data:`CONTAINER_KEY`.  This is the tap
     the incremental revalidation engine uses to learn what a check actually
     read; with no hook installed (``None``) reads pay a single global load
-    and a falsy test.
+    and a falsy test.  Installing a hook does not by itself count as
+    dependency tracking (see :data:`_TRACKING`).
     """
     global _READ_HOOK
     previous = _READ_HOOK
@@ -424,6 +433,7 @@ class MetaClass:
         self.own_features: Dict[str, Feature] = {}
         self.invariants: List[Any] = []   # populated by repro.ocl.invariants
         self._all_features_cache: Optional[Dict[str, Feature]] = None
+        self._containment_cache: Optional[Tuple[Reference, ...]] = None
         self._all_superclasses_cache: Optional[List[MetaClass]] = None
         self._ancestor_ids: Optional[frozenset] = None
         self._all_subclasses_cache: Optional[List[MetaClass]] = None
@@ -465,6 +475,7 @@ class MetaClass:
 
     def _invalidate_cache(self) -> None:
         self._all_features_cache = None
+        self._containment_cache = None
         self._all_superclasses_cache = None
         self._ancestor_ids = None
         self._all_subclasses_cache = None
@@ -531,9 +542,13 @@ class MetaClass:
             raise UnknownFeatureError(self.name, name)
         return found
 
-    def containment_features(self) -> List[Reference]:
-        return [f for f in self.all_features().values()
-                if isinstance(f, Reference) and f.containment]
+    def containment_features(self) -> Tuple[Reference, ...]:
+        """The containment references, inherited ones first (cached)."""
+        if self._containment_cache is None:
+            self._containment_cache = tuple(
+                f for f in self.all_features().values()
+                if isinstance(f, Reference) and f.containment)
+        return self._containment_cache
 
     # -- instantiation -----------------------------------------------------
 
@@ -1049,9 +1064,7 @@ class Element(ObserverMixin, metaclass=MofMeta):
     def contents(self) -> List["Element"]:
         """Directly contained elements, in feature/declaration order."""
         out: List[Element] = []
-        for feature in self.meta.all_features().values():
-            if not (isinstance(feature, Reference) and feature.containment):
-                continue
+        for feature in self.meta.containment_features():
             value = _get_value(self, feature)
             if feature.many:
                 out.extend(value)
@@ -1060,10 +1073,19 @@ class Element(ObserverMixin, metaclass=MofMeta):
         return out
 
     def all_contents(self) -> Iterator["Element"]:
-        """All transitively contained elements, preorder."""
-        for child in self.contents():
+        """All transitively contained elements, preorder.
+
+        An explicit stack instead of nested generators; each element's
+        ``contents()`` is still taken only after it has been yielded."""
+        stack = self.contents()
+        stack.reverse()
+        while stack:
+            child = stack.pop()
             yield child
-            yield from child.all_contents()
+            children = child.contents()
+            if children:
+                children.reverse()
+                stack.extend(children)
 
     def _detach(self) -> None:
         """Remove this element from its current container slot, if any."""

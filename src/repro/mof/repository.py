@@ -114,13 +114,14 @@ class Model:
         """Bulk read: effective values of single attribute *name* over all
         conforming instances, in ``instances_of`` order — or ``None``
         whenever the per-object path must be used instead (columns off,
-        read hook active, or the feature shape does not columnify).
+        dependency tracking active, or the feature shape does not
+        columnify).
 
         This is the entry point the OCL closure compiler's
         ``allInstances`` fast path calls (see
         :meth:`repro.ocl.evaluator.Environment.columns`)."""
         store = self._columns
-        if store is None or _kernel._READ_HOOK is not None:
+        if store is None or _kernel._TRACKING:
             return None
         return store.conforming_values(metaclass, name)
 
@@ -134,11 +135,11 @@ class Model:
                      exact: bool = False) -> List[Element]:
         """All elements conforming to *metaclass* (or exactly typed by it).
 
-        Answered O(answer) from the extent index unless a dependency
-        read hook is active (incremental tracking needs to see the
+        Answered O(answer) from the extent index unless dependency
+        tracking is active (incremental tracking needs to see the
         per-element reads a scan performs — see :mod:`repro.mof.index`).
         """
-        if _kernel._READ_HOOK is None:
+        if not _kernel._TRACKING:
             return self.index().instances_of(metaclass, exact=exact)
         if exact:
             return [e for e in self.all_elements() if e.meta is metaclass]
@@ -220,7 +221,7 @@ class Repository:
 
         Answered from the model's eid index (O(1) when warm, with a
         staleness cross-check and repairing scan fallback — eids are
-        assigned lazily) unless a dependency read hook is active.
+        assigned lazily) unless dependency tracking is active.
         """
         if "#" not in reference:
             raise RepositoryError(
@@ -228,7 +229,7 @@ class Repository:
             )
         uri, eid = reference.split("#", 1)
         model = self.model(uri)
-        if _kernel._READ_HOOK is None:
+        if not _kernel._TRACKING:
             element = model.index().resolve_eid(eid)
             if element is not None:
                 return element

@@ -155,7 +155,7 @@ class Environment:
         effective values of single attribute *name* over the instance
         scope, in :meth:`instances` order — or ``None`` whenever the
         per-element path must be used (no columnar store, dependency
-        read hook active, feature shape not columnar, or the scope is
+        tracking active, feature shape not columnar, or the scope is
         not column-backed).  Resolved at the same environment that owns
         the instance scope, so fast paths can never read a different
         extent than the generic path would iterate."""

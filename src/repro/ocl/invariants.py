@@ -197,7 +197,7 @@ class ConstraintSet:
         # conforming elements" in O(answer); the containment scan stays
         # for Element scopes and while dependency tracking is active
         # (the incremental engine must observe the per-element reads).
-        indexed = isinstance(scope, Model) and _kernel._READ_HOOK is None
+        indexed = isinstance(scope, Model) and not _kernel._TRACKING
         column_store = scope.column_store() if indexed else None
         if column_store is not None:
             from .columns import flag_constraint_suspects

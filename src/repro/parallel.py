@@ -243,7 +243,7 @@ def _fan_out(roots: Sequence[Element], families: Sequence[str],
              constraint_groups: Sequence[ConstraintGroup],
              workers: int) -> Optional[Dict[str, List[Diagnostic]]]:
     from .mof import kernel as _kernel
-    if _kernel._READ_HOOK is not None:
+    if _kernel._TRACKING:
         # dependency tracking must observe every per-element read in
         # this process; a forked worker's reads are invisible to it
         return None
@@ -273,7 +273,10 @@ def _fan_out(roots: Sequence[Element], families: Sequence[str],
 
     def worker_body(sender: Any, index: int, doomed: bool) -> None:
         # forked child: inherits the graph; must never run the parent's
-        # atexit/teardown machinery, hence os._exit on every path
+        # atexit/teardown machinery, hence os._exit on every path.  Its
+        # spans would die with it, and finishing one writes to a sink
+        # (file buffer, lock) shared with the parent: tracing goes off
+        _trace.ON = False
         status = 1
         try:
             if doomed:

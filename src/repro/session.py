@@ -313,18 +313,18 @@ class Session:
 
     def _active_column_store(self) -> Optional[Any]:
         """The model's column store when its fast paths may be used:
-        enabled, and no dependency read hook (incremental tracking must
+        enabled, and no dependency tracking (incremental tracking must
         observe per-element reads a bulk scan would hide)."""
         from .mof import kernel as _kernel
         store = self.model.column_store()
-        if store is None or _kernel._READ_HOOK is not None:
+        if store is None or _kernel._TRACKING:
             return None
         return store
 
     def _check_sharded(self, selected: Tuple[str, ...], workers: int
                        ) -> Optional[Dict[str, List[Diagnostic]]]:
         from .mof import kernel as _kernel
-        if _kernel._READ_HOOK is not None:
+        if _kernel._TRACKING:
             return None
         from .parallel import SHARDABLE_FAMILIES, parallel_check
         shardable = [f for f in selected if f in SHARDABLE_FAMILIES]

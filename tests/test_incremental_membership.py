@@ -1,0 +1,191 @@
+"""Membership and report edge cases of the incremental engine.
+
+The engine takes element membership from the model index's enter/leave
+transitions and assembles reports from its non-empty results only.
+Each case below drives one path through that protocol and then asserts
+both oracles: :meth:`IncrementalEngine.verify` (membership against a
+full containment walk, reports against a scan of every unit) and the
+multiset equality with the batch checkers the property suite uses.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import faults
+from repro.generate import demo_generator, demo_package
+from repro.incremental import IncrementalEngine, report_signature
+from repro.mof import Model
+from repro.mof.txn import transaction
+from repro.mof.validate import validate_tree
+from repro.ocl.invariants import ConstraintSet
+from repro.session import Session
+
+
+def classifier(name):
+    return demo_package().classifier(name)
+
+
+def oracle(model, constraint_sets=()):
+    signature = report_signature(validate_tree(model.roots[0]))
+    for root in model.roots[1:]:
+        signature += report_signature(validate_tree(root))
+    for constraint_set in constraint_sets:
+        signature += report_signature(constraint_set.evaluate(model))
+    return signature
+
+
+def assert_consistent(engine):
+    actual = report_signature(engine.revalidate())
+    assert engine.verify() == []
+    assert actual == oracle(engine.model, engine.constraint_sets)
+
+
+@pytest.fixture
+def library():
+    root = demo_generator(seed=5).generate(40)
+    model = Model("urn:membership")
+    model.add_root(root)
+    engine = IncrementalEngine(model, wellformed=False, lint=False)
+    assert_consistent(engine)
+    yield model, root, engine
+    engine.detach()
+
+
+def shelves_with_books(root, count=2):
+    shelves = [shelf for shelf in root.shelves if len(shelf.books) >= 1]
+    assert len(shelves) >= count
+    return shelves
+
+
+def test_move_book_to_another_shelf_keeps_its_units(library):
+    model, root, engine = library
+    source, target = shelves_with_books(root)[:2]
+    book = source.books[0]
+    unit = engine._units[("struct", book)]
+    target.books.append(book)
+    assert_consistent(engine)
+    # a move is not a membership change: the book's units survive
+    assert engine._units[("struct", book)] is unit
+
+
+def test_detach_mutate_reattach_before_revalidating(library):
+    model, root, engine = library
+    shelf = shelves_with_books(root)[0]
+    shelf.capacity = len(shelf.books)
+    assert_consistent(engine)
+    root.shelves.remove(shelf)
+    # while detached the shelf's notifications do not reach the model
+    gone = shelf.books[0]
+    shelf.books.remove(gone)
+    added = [classifier("GBook")(name=f"late-{i}", pages=-i)
+             for i in range(3)]
+    for book in added:
+        shelf.books.append(book)
+    shelf.books[0].pages = -7
+    root.shelves.append(shelf)
+    assert_consistent(engine)
+    assert all(("struct", book) in engine._units for book in added)
+    assert ("struct", gone) not in engine._units
+
+
+def test_create_and_delete_in_one_rolled_back_transaction(library):
+    model, root, engine = library
+    shelf = shelves_with_books(root)[0]
+    victim = shelf.books[-1]
+    before = report_signature(engine.report())
+    with pytest.raises(RuntimeError):
+        with transaction(model):
+            created = classifier("GBook")(name="transient", pages=-1)
+            shelf.books.append(created)
+            victim.delete()
+            assert_consistent(engine)
+            assert ("struct", created) in engine._units
+            raise RuntimeError("abort")
+    assert victim in shelf.books
+    assert_consistent(engine)
+    assert ("struct", created) not in engine._units
+    assert ("struct", victim) in engine._units
+    assert report_signature(engine.report()) == before
+
+
+def test_add_root_then_edit_inside_a_removed_root(library):
+    model, root, engine = library
+    second = demo_generator(seed=6).generate(20)
+    model.add_root(second)
+    assert_consistent(engine)
+    book = next(element for element in second.all_contents()
+                if element.meta is classifier("GBook"))
+    assert ("struct", book) in engine._units
+    model.remove_root(second)
+    book.pages = -3                     # the removed subtree is not watched
+    second.shelves[0].capacity = -1
+    assert_consistent(engine)
+    assert ("struct", book) not in engine._units
+
+
+def test_externally_observed_element_enters_scope(library):
+    model, root, _ = library
+    constraints = ConstraintSet("sequels")
+    constraints.add(classifier("GBook"), "sequel-has-pages",
+                    "self.sequel.oclIsUndefined() or self.sequel.pages >= 0")
+    engine = IncrementalEngine(model, wellformed=False, lint=False,
+                               constraint_sets=[constraints])
+    assert_consistent(engine)
+    outsider = classifier("GBook")(name="outsider", pages=-2)
+    reader = shelves_with_books(root)[0].books[0]
+    reader.sequel = outsider
+    assert_consistent(engine)
+    # a unit read the outsider while it was outside the model, so the
+    # engine watches it directly
+    assert id(outsider) in engine._external
+    outsider.pages = 3
+    assert_consistent(engine)
+    shelves_with_books(root)[1].books.append(outsider)
+    assert_consistent(engine)
+    assert id(outsider) not in engine._external
+    assert ("struct", outsider) in engine._units
+    outsider.pages = -4
+    assert_consistent(engine)
+    engine.detach()
+
+
+def test_quarantined_unit_keeps_its_position(library):
+    model, root, engine = library
+    # dirty a few units early in unit order whose results were empty
+    books = [book for shelf in root.shelves for book in shelf.books]
+    for book in books[:3]:
+        book.pages = 50
+    assert_consistent(engine)
+    for book in books[:3]:
+        book.pages = 60
+    plan = faults.FaultPlan(seed=0, rate=1.0, sites=["checker.run"])
+    with faults.injected(plan):
+        report = engine.revalidate()
+    crashed = [d for d in report.diagnostics if d.code == "checker-crashed"]
+    assert crashed and engine.quarantined()
+    assert engine.verify() == []
+    # each crash report sits where its unit does, not after the others
+    assert report.diagnostics[-1].code != "checker-crashed"
+    for _ in range(10):
+        if not engine.quarantined():
+            break
+        engine.revalidate()
+    assert not engine.quarantined()
+    assert_consistent(engine)
+
+
+def test_family_without_diagnostics_is_listed_empty():
+    library_meta = classifier("GLibrary")
+    root = library_meta(name="tidy")
+    shelf = classifier("GShelf")(name="s", capacity=2)
+    root.shelves.append(shelf)
+    shelf.books.append(classifier("GBook")(name="b", pages=10))
+    session = Session(root)
+    engine = session.watch(families=("structural", "invariant"))
+    document = engine.check_result().to_json()
+    assert document["families"] == {"structural": [], "invariant": []}
+    assert document == session.check(
+        families=("structural", "invariant")).to_json()
+    assert engine.verify() == []
+    engine.detach()

@@ -6,7 +6,10 @@ batch checkers from scratch.  Models and edits come from the
 metamodel-driven generators in :mod:`repro.generate`; equality is compared as
 a multiset of :func:`repro.incremental.diagnostic_key` signatures after
 *every* edit, so a stale cache entry or an over-invalidation that drops
-a diagnostic fails on the exact (seed, step) that exposes it.
+a diagnostic fails on the exact (seed, step) that exposes it.  After
+every edit the engine's own self-check (:meth:`IncrementalEngine.verify`:
+membership against a full containment walk, reports against a scan of
+every unit) must also come back empty.
 
 Two metamodels are covered: the self-contained ``genlib`` demo package
 (structural + OCL invariant checking) and a curated slice of UML
@@ -31,6 +34,13 @@ EDITS_PER_PAIR = 6
 
 def _assert_equivalent(engine, oracle, *, seed, step, history):
     actual = report_signature(engine.revalidate())
+    problems = engine.verify()
+    if problems:
+        pytest.fail(
+            f"engine self-check failed at seed={seed} after edit "
+            f"{step}/{len(history)}\n"
+            f"  edits so far: {history[:step]}\n"
+            f"  discrepancies: {problems[:10]}")
     expected = oracle()
     if actual == expected:
         return

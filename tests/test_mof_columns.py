@@ -28,6 +28,7 @@ from repro.mof import (
     define_package,
     set_read_hook,
 )
+from repro.incremental.tracking import collect_reads
 from repro.mof.validate import validate_element
 from repro.session import Session
 
@@ -74,14 +75,17 @@ class TestColumnStoreReads:
         store = library_model.enable_columns()
         book = demo_package().classifier("GBook")
         assert store.conforming_values(book, "pages") is not None
-        previous = set_read_hook(lambda element, key: None)
-        try:
+        with collect_reads(set()):
             # dependency tracking must see per-element reads; the bulk
             # path would hide them, so it refuses
             assert store.conforming_values(book, "pages") is None
+        assert store.conforming_values(book, "pages") is not None
+        # a counting probe is not dependency tracking: the path stays on
+        previous = set_read_hook(lambda element, key: None)
+        try:
+            assert store.conforming_values(book, "pages") is not None
         finally:
             set_read_hook(previous)
-        assert store.conforming_values(book, "pages") is not None
 
 
 class TestColumnStoreMaintenance:

@@ -23,6 +23,7 @@ from repro.mof import (
     define_package,
     set_read_hook,
 )
+from repro.incremental.tracking import collect_reads
 
 
 def scan_instances(model, metaclass, exact=False):
@@ -99,16 +100,22 @@ class TestIndexMaintenance:
         model.add_root(root)
         book = demo_package().classifier("GBook")
         indexed = model.instances_of(book)
-        reads = []
-        previous = set_read_hook(lambda element, key: reads.append(key))
-        try:
+        reads = set()
+        with collect_reads(reads):
             scanned = model.instances_of(book)
-        finally:
-            set_read_hook(previous)
-        # same answer either way, but the hooked path performed the
+        # same answer either way, but the tracked path performed the
         # per-element reads dependency tracking relies on
         assert sorted(map(id, scanned)) == sorted(map(id, indexed))
         assert reads
+        # a counting probe alone keeps the O(answer) index path
+        counted = []
+        previous = set_read_hook(lambda element, key: counted.append(key))
+        try:
+            probed = model.instances_of(book)
+        finally:
+            set_read_hook(previous)
+        assert sorted(map(id, probed)) == sorted(map(id, indexed))
+        assert counted == []
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_columns_survive_fuzzed_edits(self, seed):

@@ -356,6 +356,28 @@ class TestDynamicMetamodels:
         with pytest.raises(MetamodelError):
             pkg.classifier("Base")()
 
+    def test_containment_added_to_superclass_after_instances(self):
+        from repro.mof import add_reference, define_class
+        pkg = MetaPackage("dyn5")
+        base = define_class(pkg, "Box")
+        add_reference(base, "items", base, containment=True,
+                      multiplicity=M_0N)
+        crate = define_class(pkg, "Crate", superclasses=[base])
+        outer, inner, extra, nested = crate(), crate(), crate(), base()
+        outer.items.append(inner)
+        # the subclass's containment features are cached by now
+        assert outer.contents() == [inner]
+        assert crate.containment_features() == (base.feature("items"),)
+        lids = add_reference(base, "lids", base, containment=True,
+                             multiplicity=M_0N)
+        assert crate.containment_features() == (base.feature("items"),
+                                                lids)
+        outer.lids.append(extra)
+        extra.lids.append(nested)
+        assert outer.contents() == [inner, extra]
+        assert list(outer.all_contents()) == [inner, extra, nested]
+        assert nested.root() is outer
+
 
 class TestRepr:
     def test_named_repr(self):

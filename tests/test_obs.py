@@ -1,5 +1,6 @@
 """Tests for the observability layer: spans, sinks, metrics, probes."""
 
+import contextlib
 import io
 import json
 import threading
@@ -264,6 +265,86 @@ class TestKernelProbes:
         obs.disable()
         assert not obs.is_enabled()
         obs.REGISTRY.reset()
+
+
+class TestObservingKeepsFastPaths:
+    """The counting read probe ``obs.enable()`` installs is not
+    dependency tracking: the column store and the extent index stay in
+    use with observability on, and only ``collect_reads`` refuses them."""
+
+    @staticmethod
+    def _columnar_check(context):
+        from repro.generate import demo_generator
+        from repro.mof import Model
+        from repro.session import Session, canonical_check_document
+
+        model = Model("urn:obs-fast-paths")
+        model.add_root(demo_generator(7).generate(80))
+        session = Session(model, columnar=True)
+        with context():
+            document = canonical_check_document(session.check().to_json())
+        columns = model.column_store().stats()
+        index = model.index().stats()
+        counters = {
+            "columns.built": columns["built"],
+            "columns.rebuilds": columns["rebuilds"],
+            "columns.bulk_reads": columns["bulk_reads"],
+            "index.hits": index["hits"],
+            "index.eid_scans": index["eid_scans"],
+        }
+        return document, counters
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _observed():
+        obs.enable()
+        try:
+            yield
+        finally:
+            obs.disable()
+            obs.REGISTRY.reset()
+
+    def test_same_document_and_path_with_obs_on_and_off(self):
+        plain, plain_counters = self._columnar_check(contextlib.nullcontext)
+        observed, observed_counters = self._columnar_check(self._observed)
+        assert observed == plain
+        assert observed_counters == plain_counters
+        assert plain_counters["columns.built"] > 0
+        assert plain_counters["index.hits"] > 0
+
+    def test_sharded_check_with_obs_on(self, tmp_path):
+        from repro.generate import demo_generator
+        from repro.session import Session, canonical_check_document
+
+        root = demo_generator(9).generate(120)
+        serial = canonical_check_document(Session(root).check().to_json())
+        path = tmp_path / "spans.jsonl"
+        sink = obs.JsonlSink(str(path))
+        obs.enable(sink)
+        try:
+            sharded = Session(root).check(workers=2)
+        finally:
+            obs.disable()
+            obs.remove_sink(sink)
+            sink.close()
+            obs.REGISTRY.reset()
+        assert canonical_check_document(sharded.to_json()) == serial
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        assert "parallel.check" in {record["name"] for record in records}
+        # forked workers trace nothing into the parent's sink
+        assert len(records) == sink.span_count
+
+    def test_dependency_tracking_still_refuses_fast_paths(self):
+        from repro.incremental.tracking import collect_reads
+
+        plain, _ = self._columnar_check(contextlib.nullcontext)
+        tracked, counters = self._columnar_check(
+            lambda: collect_reads(set()))
+        assert tracked == plain
+        assert counters["columns.built"] == 0
+        assert counters["columns.bulk_reads"] == 0
+        assert counters["index.hits"] == 0
 
 
 class TestInstrumentedLayers:

@@ -14,7 +14,8 @@ import pytest
 
 from repro import faults
 from repro.generate import EditFuzzer, demo_generator, demo_package
-from repro.mof import Model, set_read_hook
+from repro.incremental.tracking import collect_reads
+from repro.mof import Model
 from repro.mof.validate import validate_tree
 from repro.ocl.invariants import ConstraintSet
 from repro.parallel import (
@@ -144,12 +145,9 @@ class TestRefusals:
         # dependency tracking must observe per-element reads; forked
         # workers' reads are invisible to the parent's tracker
         session = dirty_session(seed=29, size=30)
-        previous = set_read_hook(lambda element, key: None)
-        try:
+        with collect_reads(set()):
             assert parallel_check(session.model.roots,
                                   ["structural"], workers=4) is None
-        finally:
-            set_read_hook(previous)
 
 
 class TestParallelValidateTree:
