@@ -1,25 +1,17 @@
-"""E21 — columnar extents and multi-core sharding must make full-pass
-checking scale without changing a single output byte.
+"""E21 — columnar extents must make full-pass checking faster without
+changing a single output byte.
 
 The paper's acceptance workflow re-runs "a well defined set of tests"
 over the whole model at every abstraction level; on 10^5-element
-corpora that full pass is the bottleneck.  Two independent levers to
-measure:
+corpora that full pass is the bottleneck.  With ``repro.mof.columns``
+enabled, the structural and invariant families scan per-metaclass
+struct-of-arrays blocks and only re-validate flagged suspects; the
+allInstances-heavy constraint sets read whole attribute columns.  Same
+machine, same corpus, fewer cache misses: measurably faster than the
+per-object walk.
 
-* **columnar single-core win** — with ``repro.mof.columns`` enabled,
-  the structural and invariant families scan per-metaclass
-  struct-of-arrays blocks and only re-validate flagged suspects; the
-  allInstances-heavy constraint sets read whole attribute columns.
-  Same machine, same corpus, fewer cache misses: measurably faster than
-  the per-object walk.
-* **multi-core sharding** — ``Session.check(workers=N)`` forks N
-  workers over contiguous extent partitions (:mod:`repro.parallel`).
-  On a ≥4-core box the 4-worker full pass must come in ≥3× faster than
-  single-process.
-
-Byte-identity of the merged diagnostic documents is asserted
-unconditionally — speedup floors only on machines that can express
-them (≥4 usable cores, full corpus).  Set ``REPRO_BENCH_QUICK=1``
+Byte-identity of the columnar document is asserted unconditionally —
+the speedup floor only on the full corpus.  Set ``REPRO_BENCH_QUICK=1``
 (CI smoke) for a reduced corpus.
 """
 
@@ -30,13 +22,11 @@ import time
 from repro.generate import demo_generator, demo_package
 from repro.mof import Model
 from repro.ocl.invariants import ConstraintSet
-from repro.parallel import available_workers
 from repro.session import Session
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 CORPUS_SIZE = 3_000 if QUICK else 100_000
 REPEATS = 2 if QUICK else 3
-WORKER_BAND = [1, 2] if QUICK else [1, 2, 4]
 
 _corpus_cache = {}
 
@@ -69,10 +59,10 @@ def _session(root, **kwargs):
     return Session(model, constraint_sets=[constraints], **kwargs)
 
 
-def _doc(session, **kwargs):
+def _doc(session):
     return json.dumps(
-        session.check(["structural", "invariant", "constraint"],
-                      **kwargs).to_json(), sort_keys=True)
+        session.check(["structural", "invariant", "constraint"])
+        .to_json(), sort_keys=True)
 
 
 def _timed(fn, repeats=REPEATS):
@@ -104,36 +94,3 @@ def test_e21_columnar_single_core_win():
         # the exact re-validation busy too
         assert speedup >= 1.2, (
             f"columnar pass not faster: {speedup:.2f}x")
-
-
-def test_e21_sharded_full_pass_scaling():
-    root = _corpus_root()
-    session = _session(root)
-    times = {}
-    serial_doc = None
-    for workers in WORKER_BAND:
-        kwargs = {} if workers == 1 else {"workers": workers}
-        elapsed, document = _timed(lambda: _doc(session, **kwargs))
-        times[workers] = elapsed
-        if workers == 1:
-            serial_doc = document
-        else:
-            assert document == serial_doc    # byte-identical merge
-        print(f"  [workers={workers}: {elapsed*1000:.0f}ms]")
-
-    cores = available_workers()
-    if not QUICK and 4 in times and cores >= 4:
-        speedup = times[1] / times[4]
-        print(f"  [4-worker speedup: {speedup:.2f}x on {cores} cores]")
-        assert speedup >= 3.0, (
-            f"4 workers only {speedup:.2f}x faster on {cores} cores")
-    elif 4 in WORKER_BAND and cores < 4:
-        print(f"  [speedup floor skipped: only {cores} usable core(s)]")
-
-
-def test_e21_columnar_plus_workers_compose():
-    root = _corpus_root(1_000 if QUICK else 20_000)
-    serial = _doc(_session(root))
-    combined = _session(root, columnar=True)
-    assert _doc(combined) == serial
-    assert _doc(combined, workers=2) == serial

@@ -104,15 +104,22 @@ def main() -> None:
         print(f"    {line}")
 
     print("\n== the same toolchain from the shell ==")
-    for args in (["validate", path_1],
+    # the children import repro through this interpreter's (absolute)
+    # sys.path, so a relative PYTHONPATH such as src/ keeps working
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for args in (["check", path_1,
+                  "--families", "structural,invariant,wellformed"],
                  ["metrics", path_1],
                  ["schedule", path_1]):
         command = [sys.executable, "-m", "repro", *args]
         print(f"  $ python -m repro {' '.join(args)}")
         output = subprocess.run(command, capture_output=True, text=True,
-                                cwd=os.path.dirname(__file__) or ".")
+                                env=env)
         for line in output.stdout.strip().splitlines():
             print(f"    {line}")
+        if output.returncode != 0:
+            sys.exit(f"`python -m repro {args[0]}` exited "
+                     f"{output.returncode}:\n{output.stderr}")
 
 
 if __name__ == "__main__":

@@ -55,7 +55,6 @@ from .registry import (
 from .runner import (
     LintContext,
     ModelLinter,
-    lint_model,
     lint_transformation,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     "lint_rule",
     "LintContext",
     "ModelLinter",
-    "lint_model",
     "lint_transformation",
     "ClassifierView",
     "uml_type_to_ocl",

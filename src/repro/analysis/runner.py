@@ -10,7 +10,6 @@ diagnostics before they reach the report.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -127,25 +126,6 @@ class ModelLinter:
         yield root
         yield from root.all_contents()
 
-    # -- incremental lint --------------------------------------------------
-
-    def watch(self, *roots: Element):
-        """An incrementally maintained lint session over *roots*.
-
-        .. deprecated::
-            Use :meth:`repro.session.Session.watch` with the ``"lint"``
-            family; this shim delegates to it.
-        """
-        warnings.warn(
-            "ModelLinter.watch() is deprecated; use repro.session."
-            "Session(roots, registry=..., lint_config=...).watch("
-            "families=('lint',))",
-            DeprecationWarning, stacklevel=2)
-        from ..session import Session
-        return Session(roots[0] if len(roots) == 1 else roots,
-                       registry=self.registry,
-                       lint_config=self.config).watch(families=("lint",))
-
     # -- transformation lint ----------------------------------------------
 
     def lint_transformation(self, transformation: Any) -> LintReport:
@@ -181,22 +161,6 @@ class ModelLinter:
 # ---------------------------------------------------------------------------
 # Convenience entry points
 # ---------------------------------------------------------------------------
-
-
-def lint_model(*roots: Element,
-               registry: Optional[RuleRegistry] = None,
-               config: Optional[LintConfig] = None) -> LintReport:
-    """Lint one or more model roots with the default registry.
-
-    .. deprecated::
-        Use :meth:`repro.session.Session.check` with the ``"lint"``
-        family (or :meth:`ModelLinter.lint` directly).
-    """
-    warnings.warn(
-        "lint_model() is deprecated; use repro.session.Session(roots)."
-        "check(families=('lint',)) or ModelLinter(...).lint(*roots)",
-        DeprecationWarning, stacklevel=2)
-    return ModelLinter(registry, config).lint(*roots)
 
 
 def lint_transformation(transformation: Any, *,

@@ -25,9 +25,7 @@ stereotype resolution.
 ``check`` is *the* checking verb — one meaning everywhere: the CLI, the
 :meth:`repro.session.Session.check` facade and the model server's wire
 protocol all run the same family-filtered check and serialize the same
-document (``validate`` survives as a deprecated alias of ``check
---families structural,invariant,wellformed``; the old pollution check
-is now ``purity``).
+document (the old pollution check is now ``purity``).
 
 Contracts shared by every verb: exit code 0 means clean, 1 means
 findings were reported, 2 means usage or model-load error; ``--trace
@@ -126,25 +124,11 @@ def cmd_check(args: argparse.Namespace) -> int:
             return 2
     session = Session(load_model(args.model),
                       columnar=getattr(args, "columnar", False))
-    result = session.check(families=families, severity=args.severity,
-                           workers=getattr(args, "workers", None))
+    result = session.check(families=families, severity=args.severity)
     emit_check_result(result, args)
     clean = result.ok and not (getattr(args, "strict", False)
                                and result.warnings)
     return 0 if clean else 1
-
-
-def cmd_validate(args: argparse.Namespace) -> int:
-    """Deprecated alias: ``check --families structural,invariant,wellformed``."""
-    import warnings
-
-    warnings.warn(
-        "`repro validate` is deprecated; use `repro check --families "
-        "structural,invariant,wellformed`",
-        DeprecationWarning, stacklevel=2)
-    args.families = "structural,invariant,wellformed"
-    args.strict = False
-    return cmd_check(args)
 
 
 #: rule families `python -m repro lint --families` accepts
@@ -439,8 +423,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         report = build_quality_report(
             root, platforms=platforms,
             include_traceability=args.traceability,
-            severity=args.severity,
-            workers=getattr(args, "workers", None))
+            severity=args.severity)
         if args.format == "json":
             documents.append(report.to_json())
         else:
@@ -551,8 +534,7 @@ def _run_pipeline(args: argparse.Namespace, stages) -> Session:
     for stage in stages:
         if stage == "check":
             session.check(families=("structural", "invariant",
-                                    "wellformed"),
-                          workers=getattr(args, "workers", None))
+                                    "wellformed"))
         elif stage == "lint":
             session.check(families=("lint",))
         elif stage == "transform":
@@ -569,10 +551,7 @@ def _run_pipeline(args: argparse.Namespace, stages) -> Session:
 
 
 def _parse_stages(pipeline: str):
-    # "validate" stays accepted as a spelling of the check stage so old
-    # --pipeline values keep working
-    stages = ["check" if s.strip() == "validate" else s.strip()
-              for s in pipeline.split(",") if s.strip()]
+    stages = [s.strip() for s in pipeline.split(",") if s.strip()]
     unknown = [s for s in stages if s not in PIPELINE_STAGES]
     if unknown:
         print(f"error: unknown pipeline stage(s) {unknown}; expected a "
@@ -782,31 +761,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "lint,consistency)")
     p.add_argument("--strict", action="store_true",
                    help="treat warnings as failures")
-    p.add_argument("--workers", type=int, metavar="N",
-                   help="shard the structural/invariant/constraint "
-                        "families across N forked worker processes "
-                        "(repro.parallel); the document is "
-                        "byte-identical to the sequential run")
     p.add_argument("--columnar", action="store_true",
                    help="enable the columnar extent store "
                         "(repro.mof.columns) so allInstances-heavy OCL "
                         "and the structural/invariant families scan "
                         "contiguous columns")
     p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser(
-        "validate", help="deprecated alias of `check --families "
-                         "structural,invariant,wellformed`",
-        parents=[trace_parent, diag_parent],
-        description="Deprecated alias: emits a DeprecationWarning and "
-                    "runs `check --families structural,invariant,"
-                    "wellformed`.",
-        epilog="exit codes: 0 = clean, 1 = errors found, "
-               "2 = usage/load error")
-    p.add_argument("model")
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="accepted for compatibility; no effect")
-    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser(
         "lint", help="static analysis: OCL type checking, dead code, "
@@ -940,9 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--platform", action="append",
                    choices=sorted(PLATFORMS))
     p.add_argument("--traceability", action="store_true")
-    p.add_argument("--workers", type=int, metavar="N",
-                   help="shard the structural section across N forked "
-                        "worker processes (repro.parallel)")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("footprint", help="memory footprint vs platform "

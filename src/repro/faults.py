@@ -15,11 +15,6 @@ recovery machinery protects:
 ``checker.run``
     each (check, element) unit executed by the incremental engine — the
     "checker that crashes mid-watch" scenario;
-``parallel.worker``
-    each worker launch in :func:`repro.parallel.parallel_check` — a
-    scheduled fault makes that worker die without reporting, so the
-    parent must degrade to an in-process re-check of the partition
-    (with a :class:`RuntimeWarning`), never crash or drop diagnostics;
 ``io.write`` / ``io.write.partial`` / ``io.replace``
     the staged file-IO protocol in :mod:`repro.xmi.persist`;
     ``io.write.partial`` fires after half the payload is on disk, so an

@@ -5,9 +5,7 @@ seeded, reproducible corpora of *valid* models at 10^4–10^6 elements,
 the workload engine behind every benchmark, load test and chaos run.
 
 * :mod:`repro.generate.random` — metamodel-derived random generation
-  (:class:`ModelGenerator`) and edit fuzzing (:class:`EditFuzzer`),
-  migrated from ``tests/modelgen.py`` (which survives as a deprecated
-  shim);
+  (:class:`ModelGenerator`) and edit fuzzing (:class:`EditFuzzer`);
 * :mod:`repro.generate.repair` — the constraint-guided repair loop:
   check, map each diagnostic class to a targeted edit (fill / retype /
   prune / rename), repeat until :meth:`repro.session.Session.check`

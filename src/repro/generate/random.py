@@ -26,9 +26,8 @@ Lower multiplicity bounds are governed by ``violate_lower_bounds``:
 
 Everything is seeded — the same ``(seed, size)`` always produces the
 same model and the same edits — so property-test failures replay
-exactly.  Any suite can import this module as a fixture library (the
-historic ``tests/modelgen.py`` import path survives as a deprecated
-shim); the incremental-engine property suite was the first consumer.
+exactly.  Any suite can import this module as a fixture library; the
+incremental-engine property suite was the first consumer.
 """
 
 from __future__ import annotations

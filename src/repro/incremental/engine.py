@@ -29,8 +29,8 @@ scratch and lists any difference.
 
 The unit decomposition mirrors the batch checkers exactly —
 ``validate_tree`` (structure + registered invariants),
-``uml.wellformed.check_model`` and ``analysis.ModelLinter`` — so that an
-engine's merged report is diagnostic-for-diagnostic equal to a
+``uml.wellformed.run_wellformed_rules`` and ``analysis.ModelLinter`` — so
+that an engine's merged report is diagnostic-for-diagnostic equal to a
 from-scratch run; the property suite in
 ``tests/test_incremental_properties.py`` holds that equality over
 thousands of random edits.
@@ -248,7 +248,8 @@ class IncrementalEngine:
     groups, UML well-formedness rules (skipped for roots that are not UML
     packages) and the lint registry.  When both well-formedness and lint
     are active, the default lint config disables the ``uml-wellformed``
-    meta-rule — same de-duplication as ``validation.report.quality_report``.
+    meta-rule — same de-duplication as
+    ``validation.report.build_quality_report``.
     The cross-diagram ``consistency`` family (the ``XD`` rules) is opt-in
     via ``consistency=True`` and runs as its own unit kind, so
     :meth:`report_by_kind` keeps the families separate.

@@ -10,7 +10,7 @@ Public surface:
   :class:`Multiplicity` (with ``M_01``, ``M_11``, ``M_0N``, ``M_1N``);
 * models: :class:`Model`, :class:`Repository`;
 * validation: :func:`validate_element`, :func:`validate_tree`,
-  :func:`validate_model`;
+  :func:`validate_invariants`;
 * queries: see :mod:`repro.mof.query`;
 * change notification: :class:`Notification`, :class:`ChangeRecorder`;
 * transactions: :func:`transaction`, :class:`Transaction`,
@@ -95,7 +95,6 @@ from .validate import (
     model_path,
     validate_element,
     validate_invariants,
-    validate_model,
     validate_tree,
 )
 
@@ -121,5 +120,5 @@ __all__ = [
     "instances_of", "model_path", "navigate", "path", "primitive_by_name",
     "referenced_elements", "select", "set_root_hook", "transaction",
     "validate_element",
-    "validate_invariants", "validate_model", "validate_tree",
+    "validate_invariants", "validate_tree",
 ]

@@ -10,12 +10,10 @@ plus any OCL invariants registered on the metaclasses.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterable, List, Optional
 
 from .kernel import Attribute, Element, Feature, Reference
-from .repository import Model
 
 
 class Severity(enum.Enum):
@@ -216,24 +214,4 @@ def validate_invariants(root: Element) -> ValidationReport:
     _check_invariants(root, report)
     for element in root.all_contents():
         _check_invariants(element, report)
-    return report
-
-
-def validate_model(model: Model,
-                   check_invariants: bool = True) -> ValidationReport:
-    """Validate every root of *model*.
-
-    .. deprecated::
-        Use :meth:`repro.session.Session.check` with the
-        ``("structural", "invariant")`` families instead; this shim
-        delegates and will be removed after a deprecation cycle.
-    """
-    warnings.warn(
-        "validate_model() is deprecated; use "
-        "repro.session.Session(model).check("
-        "families=('structural', 'invariant'))",
-        DeprecationWarning, stacklevel=2)
-    report = ValidationReport()
-    for root in model.roots:
-        report.extend(validate_tree(root, check_invariants))
     return report

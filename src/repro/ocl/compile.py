@@ -27,8 +27,9 @@ Compiled closures are **behaviour-compatible with the interpreter**,
 including undefined (``None``) propagation and the exact
 :class:`~repro.ocl.errors.OclTypeError`/``OclEvaluationError`` messages —
 the differential suite in ``tests/test_ocl_compile.py`` holds compiled ==
-interpreted over the generated corpus.  The interpreter stays available
-behind ``evaluate(..., compiled=False)``.
+interpreted over the generated corpus.  The compiler is the only public
+evaluation path; the interpreter (:class:`~repro.ocl.evaluator.OclEvaluator`)
+stays as that suite's oracle.
 
 Caching: each distinct expression *text* is parsed once per process
 (:func:`parse_cached`) and compiled once per ``(text, context)`` pair

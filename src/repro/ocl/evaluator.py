@@ -37,7 +37,6 @@ from .ast import (
     UnOp,
 )
 from .errors import OclEvaluationError, OclTypeError
-from .parser import parse
 from .stdlib import COLLECTION_OPS
 
 
@@ -529,20 +528,17 @@ _EVALUATOR = OclEvaluator()
 
 
 def evaluate(text_or_node: Union[str, Node],
-             env: Optional[Environment] = None, *,
-             compiled: bool = True, **bindings: Any) -> Any:
+             env: Optional[Environment] = None, **bindings: Any) -> Any:
     """Parse (if needed) and evaluate an expression.
 
     Keyword bindings become variables; ``self=obj`` binds the context
     object.  If no environment is given and ``self`` is a model element, a
     default environment scoped to the element's containment tree is built.
 
-    By default the expression is run through the closure compiler
-    (:mod:`repro.ocl.compile`) with its process-wide parse+compile cache;
-    ``compiled=False`` keeps the tree-walking interpreter — behaviourally
-    identical, retained for differential testing.  (One caveat of the
-    keyword: a *binding* literally named ``compiled`` can no longer be
-    passed through ``**bindings``; build an :class:`Environment` for that.)
+    The expression runs through the closure compiler
+    (:mod:`repro.ocl.compile`) with its process-wide parse+compile cache.
+    The tree-walking :class:`OclEvaluator` is not reached from here; it
+    is the oracle the differential suite holds the compiler equal to.
     """
     if env is None:
         self_object = bindings.get("self")
@@ -553,9 +549,5 @@ def evaluate(text_or_node: Union[str, Node],
             env = Environment()
     for name, value in bindings.items():
         env.define(name, value)
-    if compiled:
-        from .compile import compile_expression
-        return compile_expression(text_or_node)(env)
-    node = parse(text_or_node) if isinstance(text_or_node, str) \
-        else text_or_node
-    return _EVALUATOR.eval(node, env)
+    from .compile import compile_expression
+    return compile_expression(text_or_node)(env)

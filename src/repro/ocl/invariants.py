@@ -9,8 +9,7 @@ testable" discipline the paper requires.
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..mof.kernel import Element, MetaClass, MetaPackage
 from ..mof.repository import Model
@@ -26,20 +25,16 @@ from .evaluator import Environment, OclEvaluator, _EVALUATOR, truthy
 class Invariant:
     """A named boolean constraint over instances of a context metaclass.
 
-    By default the expression is lowered once to a closure
-    (:mod:`repro.ocl.compile`) specialised against the context
-    metaclass, and the per-package type environments are cached across
-    evaluations; ``compiled=False`` keeps the tree-walking interpreter
-    with a fresh environment per call (behaviourally identical — the
-    differential suite holds the equality).
+    The expression is lowered once to a closure (:mod:`repro.ocl.compile`)
+    specialised against the context metaclass, and the per-package type
+    environments are cached across evaluations.
     """
 
     def __init__(self, context: Union[MetaClass, type], name: str,
                  expression: str, *,
                  message: str = "",
                  severity: Severity = Severity.ERROR,
-                 packages: Optional[List[MetaPackage]] = None,
-                 compiled: bool = True):
+                 packages: Optional[List[MetaPackage]] = None):
         if isinstance(context, type):
             context = context._meta
         self.context: MetaClass = context
@@ -49,12 +44,9 @@ class Invariant:
         self.message = message
         self.severity = severity
         self.packages = packages
-        self.compiled = compiled
-        self._compiled: Optional[CompiledExpression] = (
-            compile_expression(expression, context=context)
-            if compiled else None)
-        self._compiled_fn = (self._compiled._fn
-                             if self._compiled is not None else None)
+        self._compiled: CompiledExpression = compile_expression(
+            expression, context=context)
+        self._compiled_fn = self._compiled._fn
         # (element package id, root package id) -> [reusable env, its root]
         self._env_cache: Dict[Tuple[int, int], list] = {}
 
@@ -81,16 +73,14 @@ class Invariant:
         return result
 
     def _holds_impl(self, element: Element) -> bool:
-        if self._compiled is None:
-            return self._holds_interpreted(element)
-        # Compiled path: the type namespace depends only on the element's
-        # and root's packages, so one environment is built per package pair
-        # and reused across calls — the closures only read it (iterator
+        # The type namespace depends only on the element's and root's
+        # packages, so one environment is built per package pair and
+        # reused across calls — the closures only read it (iterator
         # variables live in child environments they create themselves), so
         # rebinding ``self`` and, when the root changes, the instance scope
         # is all a call needs.  element.root() is read eagerly (not under
         # the lambda) so dependency tracking sees the same container-chain
-        # reads the interpreted path performs.
+        # reads the interpreter performs.
         root = element.root()
         key = (id(element.meta.package), id(root.meta.package))
         entry = self._env_cache.get(key)
@@ -119,6 +109,9 @@ class Invariant:
         return truthy(result)
 
     def _holds_interpreted(self, element: Element) -> bool:
+        """The tree-walking interpreter, with a fresh environment per
+        call.  No public path reaches it: it is the differential-testing
+        oracle :meth:`_holds_impl` is held equal to."""
         # The type namespace is built from the context metaclass's package
         # (plus the element's own and its root's) rather than by scanning
         # the whole model, so checking n elements stays O(n).
@@ -152,34 +145,26 @@ class Invariant:
 
 def invariant(context: Union[MetaClass, type], name: str,
               expression: str, *, message: str = "",
-              severity: Severity = Severity.ERROR,
-              compiled: bool = True) -> Invariant:
+              severity: Severity = Severity.ERROR) -> Invariant:
     """Create *and register* an invariant (the common case)."""
     return Invariant(context, name, expression, message=message,
-                     severity=severity, compiled=compiled).register()
+                     severity=severity).register()
 
 
 class ConstraintSet:
     """A named, detachable group of invariants — one per abstraction level
     or concern, matching the paper's "at each abstraction level a well
-    defined set of tests must be performed".
+    defined set of tests must be performed"."""
 
-    *compiled* is the default evaluation mode for invariants added via
-    :meth:`add` (overridable per invariant)."""
-
-    def __init__(self, name: str, *, compiled: bool = True):
+    def __init__(self, name: str):
         self.name = name
-        self.compiled = compiled
         self.invariants: List[Invariant] = []
 
     def add(self, context: Union[MetaClass, type], name: str,
             expression: str, *, message: str = "",
-            severity: Severity = Severity.ERROR,
-            compiled: Optional[bool] = None) -> Invariant:
+            severity: Severity = Severity.ERROR) -> Invariant:
         inv = Invariant(context, name, expression, message=message,
-                        severity=severity,
-                        compiled=(self.compiled if compiled is None
-                                  else compiled))
+                        severity=severity)
         self.invariants.append(inv)
         return inv
 
@@ -236,36 +221,6 @@ class ConstraintSet:
                                + (f": {inv.message}" if inv.message else ""),
                                code="invariant")
         return report
-
-    def check(self, scope: Union[Model, Element]) -> ValidationReport:
-        """Deprecated alias of :meth:`evaluate`.
-
-        .. deprecated::
-            Use :meth:`repro.session.Session.check` with
-            ``constraint_sets=[...]`` (or :meth:`evaluate` directly).
-        """
-        warnings.warn(
-            "ConstraintSet.check() is deprecated; use repro.session."
-            "Session(scope, constraint_sets=[cs]).check("
-            "families=('constraint',)) or ConstraintSet.evaluate()",
-            DeprecationWarning, stacklevel=2)
-        return self.evaluate(scope)
-
-    def watch(self, scope: Union[Model, Element]) -> Any:
-        """An incrementally maintained :meth:`evaluate` over *scope*.
-
-        .. deprecated::
-            Use :meth:`repro.session.Session.watch` with
-            ``constraint_sets=[...]``; this shim delegates to it.
-        """
-        warnings.warn(
-            "ConstraintSet.watch() is deprecated; use repro.session."
-            "Session(scope, constraint_sets=[cs]).watch("
-            "families=('constraint',))",
-            DeprecationWarning, stacklevel=2)
-        from ..session import Session
-        return Session(scope, constraint_sets=[self]).watch(
-            families=("constraint",))
 
     def register_all(self) -> None:
         for inv in self.invariants:

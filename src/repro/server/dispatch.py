@@ -216,11 +216,11 @@ class RepoState:
         # is acknowledged.
         self.wal: Optional[_durability.WriteAheadLog] = None
         # cross-connection check-result cache: (families, severity,
-        # workers, columnar) -> the check document computed at the
-        # current epoch.  Check results are pure functions of (model
-        # state, parameters), and model state only changes through
-        # committed edit-txns — so the cache is cleared exactly on epoch
-        # bump and any connection may reuse any other's document.
+        # columnar) -> the check document computed at the current
+        # epoch.  Check results are pure functions of (model state,
+        # parameters), and model state only changes through committed
+        # edit-txns — so the cache is cleared exactly on epoch bump and
+        # any connection may reuse any other's document.
         self.check_cache: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
 
     def summary(self) -> Dict[str, Any]:
@@ -603,13 +603,9 @@ class ServerConnection:
                               "'families' must be a list of family names")
         severity = params.get("severity")
         incremental = bool(params.get("incremental", True))
-        workers = params.get("workers")
-        if workers is not None and (not isinstance(workers, int)
-                                    or isinstance(workers, bool)):
-            raise ServerError("bad-params", "'workers' must be an integer")
         columnar = bool(params.get("columnar", False))
         key = (tuple(families) if families is not None else None,
-               severity, workers, columnar)
+               severity, columnar)
         with state.lock:
             cached = state.check_cache.get(key)
             _metrics.REGISTRY.counter(
@@ -623,15 +619,12 @@ class ServerConnection:
                 if columnar:
                     state.model.enable_columns()
                 try:
-                    if incremental and not (workers and workers > 1):
+                    if incremental:
                         engine = self._engine(state, families)
                         engine.revalidate()
                         result = engine.check_result()
                     else:
-                        # workers forces the full-pass path: sharding is
-                        # full-pass only (repro.parallel)
-                        result = state.session.check(families=families,
-                                                     workers=workers)
+                        result = state.session.check(families=families)
                 except ValueError as exc:
                     raise ServerError("bad-params", str(exc))
                 if severity is not None:

@@ -1,11 +1,7 @@
 """``repro.session`` — the unified checking/session facade.
 
-Historically the workbench grew five separate check/watch entry points
-(``mof.validate.validate_model``, ``uml.wellformed.check_model`` /
-``watch_model``, ``ConstraintSet.check``/``watch``, ``lint_model`` /
-``ModelLinter.watch``, ``validation.report.quality_report``) with
-inconsistent signatures and severities.  :class:`Session` wraps them all
-behind two verbs:
+:class:`Session` is the one public way to check a model scope, behind
+two verbs:
 
 * :meth:`Session.check` — run any subset of the checker *families*
   (``structural``, ``invariant``, ``wellformed``, ``lint``,
@@ -15,13 +11,11 @@ behind two verbs:
 * :meth:`Session.watch` — the same subset, incrementally maintained by a
   primed :class:`~repro.incremental.IncrementalEngine`.
 
-Each family delegates to the engine-level building block the legacy
-entry point used (``validate_tree``, ``validate_invariants``,
-``run_wellformed_rules``, ``ModelLinter.lint``,
-``ConstraintSet.evaluate``), so results are multiset-identical to the
-legacy API — the parity suite in ``tests/test_session.py`` holds that
-equality over the generated model corpus.  The legacy entry points
-remain importable as thin shims that emit :class:`DeprecationWarning`.
+Each family delegates to an engine-level building block
+(``validate_tree``, ``validate_invariants``, ``run_wellformed_rules``,
+``ModelLinter.lint``, ``ConstraintSet.evaluate``); the parity suite in
+``tests/test_session.py`` holds ``Session.check`` multiset-equal to
+those blocks over the generated model corpus.
 """
 
 from __future__ import annotations
@@ -249,31 +243,19 @@ class Session:
     # -- batch checking ----------------------------------------------------
 
     def check(self, families: Optional[Iterable[str]] = None, *,
-              severity: Union[str, Severity, None] = None,
-              workers: Optional[int] = None) -> CheckResult:
+              severity: Union[str, Severity, None] = None) -> CheckResult:
         """Run the requested checker *families*; merge their diagnostics.
 
         With ``families=None``, runs structural, invariant, wellformed,
         lint and cross-diagram consistency checks — plus constraint
         checks when the session has constraint sets.  *severity* keeps
         only diagnostics at or above the given floor.
-
-        ``workers=N`` (N > 1) shards the structural, invariant and
-        constraint families across N forked worker processes
-        (:mod:`repro.parallel`); the other families run in-process.
-        The merged document is byte-identical to the sequential run.
         """
         selected = self._resolve_families(families)
-        sharded: Dict[str, List[Diagnostic]] = {}
-        if workers is not None and workers > 1:
-            sharded = self._check_sharded(selected, workers) or {}
         by_family: Dict[str, List[Diagnostic]] = {}
         with (_trace.span("session.check", families=",".join(selected))
               if _trace.ON else _trace.NULL_SPAN):
             for family in selected:
-                if family in sharded:
-                    by_family[family] = sharded[family]
-                    continue
                 with (_trace.span(f"session.check.{family}")
                       if _trace.ON else _trace.NULL_SPAN):
                     if family == "lint":
@@ -320,44 +302,6 @@ class Session:
         if store is None or _kernel._TRACKING:
             return None
         return store
-
-    def _check_sharded(self, selected: Tuple[str, ...], workers: int
-                       ) -> Optional[Dict[str, List[Diagnostic]]]:
-        from .mof import kernel as _kernel
-        if _kernel._TRACKING:
-            return None
-        from .parallel import SHARDABLE_FAMILIES, parallel_check
-        shardable = [f for f in selected if f in SHARDABLE_FAMILIES]
-        if not shardable:
-            return None
-        groups = (self._constraint_groups()
-                  if "constraint" in shardable else ())
-        return parallel_check(self.model.roots, shardable, groups,
-                              workers=workers)
-
-    def _constraint_groups(self) -> List[Any]:
-        """Every (invariant, candidate list) the ``constraint`` family
-        evaluates, in its exact (set, scope, invariant) order — the
-        partition units :func:`repro.parallel.parallel_check` shards."""
-        scopes: List[Union[Model, Element]]
-        if isinstance(self.scope, (Model, Element)):
-            scopes = [self.scope]
-        else:
-            scopes = list(self.model.roots)
-        groups: List[Any] = []
-        for constraint_set in self.constraint_sets:
-            for scope in scopes:
-                if isinstance(scope, Model):
-                    for inv in constraint_set.invariants:
-                        groups.append(
-                            (inv, scope.instances_of(inv.context)))
-                else:
-                    elements = [scope] + list(scope.all_contents())
-                    for inv in constraint_set.invariants:
-                        groups.append(
-                            (inv, [e for e in elements
-                                   if e.meta.conforms_to(inv.context)]))
-        return groups
 
     def _check_structural(self) -> List[Diagnostic]:
         store = self._active_column_store()

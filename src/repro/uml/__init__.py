@@ -88,7 +88,7 @@ from .statemachines import (
     Vertex,
 )
 from .usecases import Actor, UseCase
-from .wellformed import ALL_RULES, check_model, run_wellformed_rules, watch_model
+from .wellformed import ALL_RULES, run_wellformed_rules
 
 __all__ = [
     "ALL_RULES", "ActionNode", "Activity", "ActivityEdge",
@@ -106,6 +106,6 @@ __all__ = [
     "Pseudostate", "PseudostateKind", "Refinement", "Region", "Signal",
     "State", "StateMachine", "StructuredClassifier", "Transition", "Type",
     "TypedElement", "UML", "UmlElement", "UmlModel", "Usage", "UseCase",
-    "Vertex", "VisibilityKind", "check_model", "run_wellformed_rules",
-    "watch_model", "primitive_types_package",
+    "Vertex", "VisibilityKind", "run_wellformed_rules",
+    "primitive_types_package",
 ]

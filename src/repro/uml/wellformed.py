@@ -10,13 +10,12 @@ record shared with the structural validator and the
 :mod:`repro.analysis` lint engine, carrying a stable ``uml-*`` code,
 the element's containment path and an optional fix hint — to a shared
 :class:`~repro.mof.validate.ValidationReport`; ``run_wellformed_rules``
-runs all of them (``check_model`` remains as a deprecated alias; the
-lint engine re-runs the same rules through its registry).
+runs all of them (the lint engine re-runs the same rules through its
+registry).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, List, Set
 
 from ..mof import Severity, ValidationReport, instances_of
@@ -291,34 +290,3 @@ def run_wellformed_rules(root: Package,
     for rule in (rules if rules is not None else ALL_RULES):
         rule(root, report)
     return report
-
-
-def check_model(root: Package,
-                rules: List[Rule] = None) -> ValidationReport:
-    """Deprecated alias of :func:`run_wellformed_rules`.
-
-    .. deprecated::
-        Use :meth:`repro.session.Session.check` with the
-        ``"wellformed"`` family (or :func:`run_wellformed_rules`).
-    """
-    warnings.warn(
-        "check_model() is deprecated; use repro.session.Session(root)."
-        "check(families=('wellformed',)) or run_wellformed_rules()",
-        DeprecationWarning, stacklevel=2)
-    return run_wellformed_rules(root, rules)
-
-
-def watch_model(root: Package, rules: List[Rule] = None):
-    """An incrementally maintained well-formedness check over *root*.
-
-    .. deprecated::
-        Use :meth:`repro.session.Session.watch` with the
-        ``"wellformed"`` family; this shim delegates to it.
-    """
-    warnings.warn(
-        "watch_model() is deprecated; use repro.session.Session(root)."
-        "watch(families=('wellformed',))",
-        DeprecationWarning, stacklevel=2)
-    from ..session import Session
-    return Session(root).watch(families=("wellformed",),
-                               wellformed_rules=rules)

@@ -16,7 +16,6 @@ from .report import (
     QualityReport,
     SectionResult,
     build_quality_report,
-    quality_report,
 )
 from .animation import (
     attribute_series,
@@ -73,7 +72,7 @@ __all__ = [
     "measure_offered_latency", "run_generated_tests",
     "interaction_from_trace", "promote_to_regression",
     "scenario_from_interaction",
-    "SectionResult", "build_quality_report", "quality_report",
+    "SectionResult", "build_quality_report",
     "run_activity", "Collaboration", "Event", "ModelCheckResult",
     "ModelChecker", "ModelMetrics", "ObjectInstance", "Scenario",
     "ScenarioResult", "SimulationError", "StateMachineInterpreter",

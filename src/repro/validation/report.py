@@ -9,7 +9,6 @@ traceability folded into one text report with an overall verdict.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -85,8 +84,7 @@ def build_quality_report(root: Package, *,
                          max_coupling_density: float = 0.75,
                          max_single_operation_ratio: float = 0.5,
                          incremental=None,
-                         severity: Optional[str] = None,
-                         workers: Optional[int] = None) -> QualityReport:
+                         severity: Optional[str] = None) -> QualityReport:
     """Run every applicable model test over *root* and fold the results.
 
     When *incremental* is a primed
@@ -99,11 +97,6 @@ def build_quality_report(root: Package, *,
     diagnostic lines below it are omitted from the diagnostic sections.
     Section verdicts are always computed from the unfiltered reports —
     the floor hides lines, it never flips PASS/FAIL.
-
-    ``workers=N`` (N > 1, full-pass runs only) shards the structural
-    section's tree validation across N forked worker processes
-    (:func:`repro.parallel.parallel_validate_tree`); ignored when
-    *incremental* serves the sections from its caches.
 
     This is the building block behind
     :meth:`repro.session.Session.quality_report`.
@@ -121,12 +114,7 @@ def build_quality_report(root: Package, *,
         lint = kinds.get("lint", ValidationReport())
         consistency = kinds.get("consistency", ValidationReport())
     else:
-        structural = None
-        if workers is not None and workers > 1:
-            from ..parallel import parallel_validate_tree
-            structural = parallel_validate_tree(root, workers=workers)
-        if structural is None:
-            structural = validate_tree(root)
+        structural = validate_tree(root)
         wellformed = run_wellformed_rules(root)
         lint = ModelLinter(config=LintConfig(
             disabled={"uml-wellformed"})).lint(root)
@@ -190,17 +178,3 @@ def build_quality_report(root: Package, *,
             "requirement traceability", trace_ok, lines))
 
     return report
-
-
-def quality_report(root: Package, **kwargs) -> QualityReport:
-    """Deprecated alias of :func:`build_quality_report`.
-
-    .. deprecated::
-        Use :meth:`repro.session.Session.quality_report` (or
-        :func:`build_quality_report`); same keyword arguments.
-    """
-    warnings.warn(
-        "quality_report() is deprecated; use repro.session.Session(root)."
-        "quality_report(...) or build_quality_report()",
-        DeprecationWarning, stacklevel=2)
-    return build_quality_report(root, **kwargs)

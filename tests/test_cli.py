@@ -63,12 +63,17 @@ class TestCheckVerb:
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent.xmi"]) == 2
 
-    def test_validate_alias_warns_and_checks(self, model_file, capsys):
-        with pytest.deprecated_call():
-            assert main(["validate", model_file]) == 0
-        out = capsys.readouterr().out
-        # the alias pins the historical validate families
-        assert "[structural, invariant, wellformed]" in out
+    def test_removed_verb_and_options_rejected(self, model_file, capsys):
+        for argv in (["validate", model_file],
+                     ["check", model_file, "--workers", "2"],
+                     ["report", model_file, "--workers", "2"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+        for verb in ("check", "report"):
+            with pytest.raises(SystemExit):
+                main([verb, "--help"])
+            assert "--workers" not in capsys.readouterr().out
 
 
 class TestLint:

@@ -19,7 +19,8 @@ CASES = [
     ("usecases_as_tests.py", ["scenario 'happy-path': PASS",
                               "coupling density"]),
     ("model_evolution.py", ["round trip is byte-identical",
-                            "structural diff"]),
+                            "structural diff", "check: 0 error(s)",
+                            "rta=SCHEDULABLE"]),
     ("information_model.py", ["CREATE TABLE customer",
                               "relational table"]),
 ]

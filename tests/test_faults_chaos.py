@@ -9,8 +9,6 @@ one layer's probe site and asserts the layer's robustness contract:
   rollback and the run survives;
 * ``checker.run``   — the watch loop quarantines crashing checkers and
   keeps revalidating instead of dying;
-* ``parallel.worker`` — a sharded check whose worker dies unreported
-  degrades to an in-process re-check, byte-identical output;
 * ``io.*``          — an interrupted save never corrupts the previous
   generation on disk;
 * ``wal.append``    — a failed write-ahead append rolls the edit back
@@ -302,37 +300,6 @@ def test_io_chaos_interrupted_saves(seed, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Parallel: dead workers degrade to in-process re-checks, never drop
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("seed", range(3))
-def test_parallel_worker_chaos_degrades_not_drops(seed):
-    import json
-    from repro.session import Session
-    root = demo_generator(seed).generate(40)
-    model = Model(f"urn:chaos:par{seed}")
-    model.add_root(root)
-    session = Session(model)
-    families = ["structural", "invariant"]
-    expected = json.dumps(session.check(families).to_json(),
-                          sort_keys=True)
-    plan = faults.FaultPlan(seed=_plan_seed(seed * 17), rate=0.5,
-                            sites=["parallel.worker"])
-    with faults.injected(plan):
-        with pytest.warns(RuntimeWarning, match="exited without reporting"):
-            # rate 0.5 over 3 worker launches per check x 6 checks: every
-            # seed in the CI matrix kills at least one worker, and every
-            # degraded document must still match the sequential bytes
-            for _ in range(6):
-                got = json.dumps(
-                    session.check(families, workers=3).to_json(),
-                    sort_keys=True)
-                assert got == expected
-    count = _tally(plan)
-    assert count > 0
-
-
-# ---------------------------------------------------------------------------
 # Server durability: WAL appends/replay and the TCP transport
 # ---------------------------------------------------------------------------
 
@@ -509,6 +476,6 @@ def test_chaos_budget_met():
     assert total >= CHAOS_BUDGET, dict(TALLY)
     # the tally spans every protected layer, not just one
     assert {"kernel.write", "transform.rule", "checker.run",
-            "parallel.worker", "wal.append", "wal.replay"} <= set(TALLY)
+            "wal.append", "wal.replay"} <= set(TALLY)
     assert any(site.startswith("io.") for site in TALLY)
     assert any(site.startswith("net.") for site in TALLY)

@@ -1,8 +1,8 @@
 """Unit tests for the :mod:`repro.generate` subsystem.
 
-Covers the migration satellite contracts (the ``tests/modelgen.py``
-shim warns and re-exports), the narrowed mutation-error policy (a
-planted kernel bug must surface through the fuzzer), the
+Covers the clean import under ``-W error::DeprecationWarning``, the
+narrowed mutation-error policy (a planted kernel bug must surface
+through the fuzzer), the
 ``violate_lower_bounds`` flag, the repair engine's per-diagnostic
 strategies, coverage target enumeration, and the dual-mode
 ``python -m repro generate`` CLI verb.
@@ -46,24 +46,12 @@ from repro.session import Session
 
 
 # ---------------------------------------------------------------------------
-# the deprecated tests/modelgen.py shim
+# warning hygiene
 # ---------------------------------------------------------------------------
 
-def test_modelgen_shim_warns_and_reexports():
-    sys.modules.pop("modelgen", None)
-    with pytest.warns(DeprecationWarning, match="moved to repro.generate"):
-        import modelgen
-    # the shim hands back the *same* objects, not copies
-    assert modelgen.ModelGenerator is ModelGenerator
-    assert modelgen.EditFuzzer is EditFuzzer
-    assert modelgen.demo_generator is demo_generator
-    assert modelgen.uml_generator is uml_generator
-    assert modelgen.demo_package is demo_package
-
-
 def test_repro_generate_imports_cleanly_under_warning_hygiene():
-    # in-repo suites import repro.generate directly; importing it must
-    # not trip -W error::DeprecationWarning (the CI hygiene job)
+    # importing repro.generate must not trip -W error::DeprecationWarning
+    # (the flag CI runs the tier-1 suite with)
     import os
     import subprocess
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

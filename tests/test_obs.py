@@ -312,29 +312,6 @@ class TestObservingKeepsFastPaths:
         assert plain_counters["columns.built"] > 0
         assert plain_counters["index.hits"] > 0
 
-    def test_sharded_check_with_obs_on(self, tmp_path):
-        from repro.generate import demo_generator
-        from repro.session import Session, canonical_check_document
-
-        root = demo_generator(9).generate(120)
-        serial = canonical_check_document(Session(root).check().to_json())
-        path = tmp_path / "spans.jsonl"
-        sink = obs.JsonlSink(str(path))
-        obs.enable(sink)
-        try:
-            sharded = Session(root).check(workers=2)
-        finally:
-            obs.disable()
-            obs.remove_sink(sink)
-            sink.close()
-            obs.REGISTRY.reset()
-        assert canonical_check_document(sharded.to_json()) == serial
-        records = [json.loads(line)
-                   for line in path.read_text().splitlines()]
-        assert "parallel.check" in {record["name"] for record in records}
-        # forked workers trace nothing into the parent's sink
-        assert len(records) == sink.span_count
-
     def test_dependency_tracking_still_refuses_fast_paths(self):
         from repro.incremental.tracking import collect_reads
 

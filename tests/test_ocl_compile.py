@@ -4,10 +4,12 @@ The closure compiler (:mod:`repro.ocl.compile`) must be observationally
 identical to the tree-walking interpreter — same values, same undefined
 (``None``) propagation, same ``OclTypeError``/``OclEvaluationError``
 types and messages.  The corpus below runs every expression against
-every element of generated models (``tests/modelgen.py``) through both
+every element of generated models (:mod:`repro.generate`) through both
 pipelines and requires identical outcomes, including for expressions
 that are *type errors* on some elements (wrong metaclass, undefined
-navigation, non-boolean guards).
+navigation, non-boolean guards).  :func:`evaluate` is the compiled side;
+the interpreted side is the test-local :func:`interpret` over
+:class:`~repro.ocl.OclEvaluator`, the oracle no public path reaches.
 
 Also covers the parse/compile caches: per-(text, context) keying, the
 no-poisoning guarantee between contexts, and hit/miss accounting.
@@ -18,6 +20,7 @@ import pytest
 from repro.generate import demo_generator, demo_package, uml_generator
 from repro.incremental import report_signature
 from repro.mof import (
+    Element,
     MInteger,
     MString,
     Model,
@@ -29,26 +32,42 @@ from repro.ocl import (
     ConstraintSet,
     Environment,
     Invariant,
+    OclEvaluator,
     cache_stats,
     compile_expression,
     evaluate,
+    parse,
     parse_cached,
 )
 from repro.ocl.errors import OclError
 
 
-def outcome(expr, **bindings):
+def interpret(expr, env=None, **bindings):
+    """The tree-walking interpreter over an environment built the way
+    :func:`evaluate` builds it."""
+    if env is None:
+        self_object = bindings.get("self")
+        if isinstance(self_object, Element):
+            env = Environment.for_model(self_object.root(),
+                                        self_object=self_object)
+        else:
+            env = Environment()
+    for name, value in bindings.items():
+        env.define(name, value)
+    return OclEvaluator().eval(parse(expr), env)
+
+
+def outcome(run, expr, **bindings):
     """Evaluate one way; collapse into a comparable (tag, payload) pair."""
-    compiled = bindings.pop("compiled")
     try:
-        return ("value", evaluate(expr, compiled=compiled, **bindings))
+        return ("value", run(expr, **bindings))
     except OclError as exc:
         return ("error", type(exc).__name__, str(exc))
 
 
 def assert_differential(expr, **bindings):
-    interpreted = outcome(expr, compiled=False, **bindings)
-    compiled = outcome(expr, compiled=True, **bindings)
+    interpreted = outcome(interpret, expr, **bindings)
+    compiled = outcome(evaluate, expr, **bindings)
     assert compiled == interpreted, (
         f"divergence on {expr!r}: compiled={compiled!r} "
         f"interpreted={interpreted!r}")
@@ -174,10 +193,9 @@ class TestDifferentialCorpus:
         root = demo_generator(7).generate(30)
         model = Model("urn:diff")
         model.add_root(root)
-        for compiled in (True, False):
+        for run in (evaluate, interpret):
             env = Environment.for_model(model, packages=[pkg])
-            count = evaluate("GBook.allInstances()->size()", env,
-                             compiled=compiled)
+            count = run("GBook.allInstances()->size()", env)
             scan = sum(1 for e in model.all_elements()
                        if e.meta is pkg.classifier("GBook"))
             assert count == scan
@@ -195,21 +213,20 @@ class TestInvariantParity:
             "self.pages + self.name > 0",     # raises when name is a str
         ]
         for expression in expressions:
-            fast = Invariant(book, "fast", expression, compiled=True)
-            slow = Invariant(book, "slow", expression, compiled=False)
+            inv = Invariant(book, "parity", expression)
             for element in elements:
                 if not element.meta.conforms_to(book):
                     continue
                 results = []
-                for inv in (fast, slow):
+                for holds in (inv.holds, inv._holds_interpreted):
                     try:
-                        results.append(("ok", inv.holds(element)))
+                        results.append(("ok", holds(element)))
                     except OclError as exc:
                         results.append(
                             ("err", type(exc).__name__, str(exc)))
                 assert results[0] == results[1], (expression, element)
 
-    def test_constraint_set_reports_identical(self):
+    def test_constraint_set_reports_identical(self, monkeypatch):
         pkg = demo_package()
         root = demo_generator(5).generate(40)
         model = Model("urn:cs")
@@ -220,15 +237,16 @@ class TestInvariantParity:
             ("GNamed", "named", "not self.name.oclIsUndefined()"),
             ("GBook", "tagged", "self.tags->forAll(t | t.size() > 0)"),
         ]
-        fast = ConstraintSet("fast", compiled=True)
-        slow = ConstraintSet("slow", compiled=False)
+        constraints = ConstraintSet("parity")
         for cls, name, expression in expressions:
-            fast.add(pkg.classifier(cls), name, expression)
-            slow.add(pkg.classifier(cls), name, expression)
-        assert (report_signature(fast.evaluate(model))
-                == report_signature(slow.evaluate(model)))
-        assert (report_signature(fast.evaluate(root))
-                == report_signature(slow.evaluate(root)))
+            constraints.add(pkg.classifier(cls), name, expression)
+        compiled = [report_signature(constraints.evaluate(scope))
+                    for scope in (model, root)]
+        monkeypatch.setattr(Invariant, "_holds_impl",
+                            Invariant._holds_interpreted)
+        interpreted = [report_signature(constraints.evaluate(scope))
+                       for scope in (model, root)]
+        assert compiled == interpreted
 
 
 class TestCaches:

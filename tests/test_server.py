@@ -180,8 +180,8 @@ class TestVerbs:
 
 class TestCheckCache:
     """The per-repo check-result cache is shared across connections and
-    keyed on (families, severity, workers, columnar); an edit-txn epoch
-    bump invalidates it wholesale."""
+    keyed on (families, severity, columnar); an edit-txn epoch bump
+    invalidates it wholesale."""
 
     @staticmethod
     def _cache_counts():
@@ -241,10 +241,8 @@ class TestCheckCache:
         with InProcessClient(server) as client:
             serial = client.request("check", repo="main",
                                     incremental=False)
-            sharded = client.request("check", repo="main", workers=2)
             columnar = client.request("check", repo="main",
                                       columnar=True, incremental=False)
-            assert sharded == serial
             assert columnar == serial
 
 

@@ -1,32 +1,34 @@
-"""The unified Session API: parity with the legacy entry points.
+"""The unified Session API: parity with the engine-level building blocks.
 
 The contract: for every checker family, ``Session.check`` returns a
-diagnostic multiset identical to what the legacy entry point produced,
-over the generated model corpus (``tests/modelgen.py``).  The corpus
-loops below cover 100+ (model, family) cases; the shim tests then pin
-every legacy entry point to "importable, warns, same result".
+diagnostic multiset identical to what the building block behind that
+family produces on its own (``validate_tree``, ``run_wellformed_rules``,
+``ModelLinter.lint``, ``ConstraintSet.evaluate``), over the generated
+model corpus (:mod:`repro.generate`).  The corpus loops below cover
+100+ (model, family) cases.
 """
-
-import warnings
 
 import pytest
 
+from repro.analysis import ModelLinter
 from repro.generate import demo_generator, uml_generator
 from repro.incremental import report_signature
 from repro.mof import Model
-from repro.mof.validate import ValidationReport
+from repro.mof.validate import ValidationReport, validate_tree
 from repro.session import DEFAULT_FAMILIES, FAMILIES, CheckResult, Session
 from repro.uml import Clazz
+from repro.uml.wellformed import run_wellformed_rules
 
 DEMO_SEEDS = range(20)
 UML_SEEDS = range(15)
 
 
-def _legacy(fn, *args, **kwargs):
-    """Call a deprecated entry point with its warning muted."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return fn(*args, **kwargs)
+def _validate_roots(model):
+    """Every root through ``validate_tree`` (structure + invariants)."""
+    report = ValidationReport()
+    for root in model.roots:
+        report.extend(validate_tree(root))
+    return report
 
 
 def _signature(diagnostics):
@@ -50,46 +52,43 @@ def _constraint_set():
 
 
 class TestParity:
-    """Session.check vs each legacy entry point, multiset-equal."""
+    """Session.check vs the building block behind each family,
+    multiset-equal."""
 
     @pytest.mark.parametrize("seed", DEMO_SEEDS)
     def test_validate_model_demo_corpus(self, seed):
         # 20 models x 2 families (structural, invariant) = 40 cases
-        from repro.mof.validate import validate_model
         model = _as_model(demo_generator(seed).generate(30))
-        legacy = _legacy(validate_model, model)
+        reference = _validate_roots(model)
         new = Session(model).check(families=("structural", "invariant"))
-        assert report_signature(legacy) == \
+        assert report_signature(reference) == \
             report_signature(new.as_validation_report())
 
     @pytest.mark.parametrize("seed", UML_SEEDS)
     def test_validate_model_uml_corpus(self, seed):
         # 15 models x 2 families = 30 cases
-        from repro.mof.validate import validate_model
         model = _as_model(uml_generator(seed).generate(40))
-        legacy = _legacy(validate_model, model)
+        reference = _validate_roots(model)
         new = Session(model).check(families=("structural", "invariant"))
-        assert report_signature(legacy) == \
+        assert report_signature(reference) == \
             report_signature(new.as_validation_report())
 
     @pytest.mark.parametrize("seed", UML_SEEDS)
     def test_check_model_uml_corpus(self, seed):
         # 15 models x 1 family (wellformed) = 15 cases
-        from repro.uml.wellformed import check_model
         root = uml_generator(seed).generate(40)
-        legacy = _legacy(check_model, root)
+        reference = run_wellformed_rules(root)
         new = Session(root).check(families=("wellformed",))
-        assert report_signature(legacy) == \
+        assert report_signature(reference) == \
             report_signature(new.as_validation_report())
 
     @pytest.mark.parametrize("seed", UML_SEEDS)
     def test_lint_model_uml_corpus(self, seed):
         # 15 models x 1 family (lint) = 15 cases
-        from repro.analysis import lint_model
         root = uml_generator(seed).generate(40)
-        legacy = _legacy(lint_model, root)
+        reference = ModelLinter().lint(root)
         new = Session(root).check(families=("lint",))
-        assert _signature(legacy.diagnostics) == \
+        assert _signature(reference.diagnostics) == \
             _signature(new.diagnostics)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -97,10 +96,10 @@ class TestParity:
         # 5 models x 1 family (constraint) = 5 cases
         constraints = _constraint_set()
         root = uml_generator(seed).generate(40)
-        legacy = _legacy(constraints.check, root)
+        reference = constraints.evaluate(root)
         new = Session(root, constraint_sets=[constraints]) \
             .check(families=("constraint",))
-        assert report_signature(legacy) == \
+        assert report_signature(reference) == \
             report_signature(new.as_validation_report())
 
     @pytest.mark.parametrize("seed", range(5))
@@ -116,90 +115,6 @@ class TestParity:
                 report_signature(batch.as_validation_report())
         finally:
             engine.detach()
-
-
-class TestDeprecatedShims:
-    """Every legacy entry point stays importable, warns, and delegates."""
-
-    def test_validate_model_warns(self):
-        from repro.mof.validate import validate_model
-        model = _as_model(demo_generator(0).generate(20))
-        with pytest.warns(DeprecationWarning, match="Session"):
-            report = validate_model(model)
-        assert isinstance(report, ValidationReport)
-
-    def test_check_model_warns(self):
-        from repro.uml.wellformed import check_model, run_wellformed_rules
-        root = uml_generator(0).generate(30)
-        with pytest.warns(DeprecationWarning, match="Session"):
-            report = check_model(root)
-        assert report_signature(report) == \
-            report_signature(run_wellformed_rules(root))
-
-    def test_watch_model_warns_and_primes(self):
-        from repro.uml.wellformed import watch_model
-        root = uml_generator(0).generate(30)
-        with pytest.warns(DeprecationWarning, match="Session"):
-            engine = watch_model(root)
-        try:
-            assert report_signature(engine.revalidate()) == \
-                report_signature(Session(root).check(
-                    families=("wellformed",)).as_validation_report())
-        finally:
-            engine.detach()
-
-    def test_constraint_set_check_warns(self):
-        constraints = _constraint_set()
-        root = uml_generator(0).generate(30)
-        with pytest.warns(DeprecationWarning, match="evaluate"):
-            report = constraints.check(root)
-        assert report_signature(report) == \
-            report_signature(constraints.evaluate(root))
-
-    def test_constraint_set_watch_warns(self):
-        constraints = _constraint_set()
-        root = uml_generator(0).generate(30)
-        with pytest.warns(DeprecationWarning, match="Session"):
-            engine = constraints.watch(root)
-        try:
-            assert report_signature(engine.revalidate()) == \
-                report_signature(constraints.evaluate(root))
-        finally:
-            engine.detach()
-
-    def test_lint_model_warns(self):
-        from repro.analysis import ModelLinter, lint_model
-        root = uml_generator(0).generate(30)
-        with pytest.warns(DeprecationWarning, match="Session"):
-            report = lint_model(root)
-        assert _signature(report.diagnostics) == \
-            _signature(ModelLinter().lint(root).diagnostics)
-
-    def test_model_linter_watch_warns(self):
-        from repro.analysis import ModelLinter
-        root = uml_generator(0).generate(30)
-        linter = ModelLinter()
-        with pytest.warns(DeprecationWarning, match="Session"):
-            engine = linter.watch(root)
-        try:
-            assert report_signature(engine.revalidate()) == \
-                _wrap_signature(linter.lint(root).diagnostics)
-        finally:
-            engine.detach()
-
-    def test_quality_report_warns(self):
-        from repro.validation import build_quality_report, quality_report
-        root = uml_generator(0).generate(30)
-        with pytest.warns(DeprecationWarning, match="Session"):
-            legacy = quality_report(root)
-        assert legacy.render() == build_quality_report(root).render()
-
-
-def _wrap_signature(diagnostics):
-    report = ValidationReport()
-    for diagnostic in diagnostics:
-        report.diagnostics.append(diagnostic)
-    return report_signature(report)
 
 
 class TestSessionSurface:
