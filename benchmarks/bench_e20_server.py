@@ -6,15 +6,16 @@ shared model repository.  The server's promises to measure:
 
 * **throughput/tail** — mixed edit-txn + check traffic from 1/4/8
   concurrent editors over a 10^5-element generated repository: checks
-  ride each connection's warm incremental engine, so check throughput
-  and p99 latency must stay interactive while writers commit;
+  ride the repository's one shared incremental view, so check
+  throughput and p99 latency must stay interactive while writers
+  commit;
 * **lossless conflicts** — with every editor racing on the same epoch,
   100% of edit-txns are either applied or rejected with a replayable
   ``conflict`` carrying ``current_epoch`` — the retry accounting must
   balance exactly (nothing silently dropped);
-* **isolation** — a client's incremental state is its own: another
-  client's checks never touch it, and edits to a different repository
-  never invalidate it.
+* **isolation** — edits to a different repository never invalidate a
+  repository's view, and every connection checking it shares that one
+  view instead of building its own.
 
 Set ``REPRO_BENCH_QUICK=1`` (CI smoke) to run a reduced corpus and
 editor band.
@@ -64,7 +65,7 @@ def _editor_worker(server, repo, eids, tag, rounds, barrier, results):
     applied = conflicts = 0
     check_latencies = []
     with InProcessClient(server) as client:
-        epoch = client.request("check", repo=repo)["epoch"]  # warm engine
+        epoch = client.request("check", repo=repo)["epoch"]  # warm view
         barrier.wait()
         for index in range(rounds):
             ops = [{"op": "set",
@@ -140,8 +141,8 @@ def test_e20_concurrent_editors_throughput_and_tail():
         assert state.epoch == applied
 
 
-def test_e20_per_client_and_cross_repo_isolation():
-    print("\nE20: per-client incremental state isolation")
+def test_e20_shared_view_and_cross_repo_isolation():
+    print("\nE20: one shared view per repository, cross-repo isolation")
     quiet = Session.generate("demo", size=500 if QUICK else 5_000,
                              seed=1, repair=True)
     busy = Session.generate("demo", size=500 if QUICK else 5_000,
@@ -154,8 +155,8 @@ def test_e20_per_client_and_cross_repo_isolation():
     editors = [InProcessClient(server) for _ in range(3)]
     try:
         reader.request("check", repo="quiet")
-        engine = reader._conn.engines["quiet"]
-        baseline = (engine.stats.invalidations, engine.stats.unit_runs)
+        (view,) = server.repo("quiet").views.values()
+        baseline = (view.stats.invalidations, view.stats.unit_runs)
         epoch = 0
         for index, client in enumerate(editors * 4):
             while True:
@@ -170,18 +171,18 @@ def test_e20_per_client_and_cross_repo_isolation():
                     epoch = error.data["current_epoch"]
             client.request("check", repo="busy")
         # cross-repo: the busy repo's edits and checks never touched the
-        # reader's engine over the quiet repo
-        after = (engine.stats.invalidations, engine.stats.unit_runs)
-        print(f"  reader engine (quiet repo): invalidations/runs "
+        # quiet repo's view
+        after = (view.stats.invalidations, view.stats.unit_runs)
+        print(f"  quiet repo view: invalidations/runs "
               f"{baseline} -> {after} across "
               f"{server.repo('busy').edits_applied} busy-repo edits")
         assert after == baseline
-        assert not engine._dirty
-        # per-client: every connection has its own engine object
-        engines = [c._conn.engines["busy"] for c in editors]
-        assert len({id(e) for e in engines}) == len(engines)
-        print(f"  {len(engines)} editor connections -> "
-              f"{len({id(e) for e in engines})} distinct warm engines")
+        assert not view._dirty
+        # shared: every editor's checks rode the busy repo's one view
+        views = server.repo("busy").views
+        assert len(views) == 1
+        print(f"  {len(editors)} editor connections -> "
+              f"{len(views)} shared view")
     finally:
         reader.close()
         for client in editors:

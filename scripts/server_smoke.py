@@ -8,7 +8,10 @@ CI drives the real CLI surface end to end, the way a team would:
    EDITS edit-txns through a RetryPolicy (jittered backoff replaying
    conflicts with a refreshed base_epoch) — assert nothing is lost
    (final epoch == total applied, zero failures);
-3. verify over `rpc`-style requests that check/stats still answer;
+3. verify over `rpc`-style requests that check/stats still answer, that
+   the editors' checks all rode one shared view of the repository, and
+   that a connection which never checked still sees that view's
+   `engine` block in `stats`;
 4. SIGINT the server and require a clean "shutting down" exit 0.
 
 Exits non-zero (with a reason on stderr) on any violation.
@@ -97,6 +100,7 @@ def main():
                         epoch = client.request(
                             "edit-txn", repo="main",
                             base_epoch=epoch, ops=ops)["epoch"]
+                    client.request("check", repo="main")
                     replays.append(policy.retried)
             except Exception as error:  # noqa: BLE001 — report, don't hang
                 failures.append(f"{tag}: {error!r}")
@@ -110,8 +114,15 @@ def main():
         if failures:
             fail("; ".join(failures))
 
-        with TcpClient(host, port) as probe:
+        with TcpClient(host, port) as probe:      # never checks
             summary = probe.request("stats")["server"]["repos"]["main"]
+            repo_stats = probe.request("stats", repo="main")
+        if summary.get("views") != 1:
+            fail(f"{summary.get('views')} views of main after {EDITORS} "
+                 f"editors checked; want one shared view")
+        if "engine" not in repo_stats:
+            fail("stats repo=main from a connection that never checked "
+                 "has no engine block")
         expected = EDITORS * EDITS
         if summary["epoch"] != expected:
             fail(f"epoch {summary['epoch']} != {expected} applied edits")

@@ -12,18 +12,19 @@ verb       Session equivalent
 load       ``Session.load(path)`` hosted under a repo name
 generate   ``Session.generate(...)`` hosted under a repo name
 edit-txn   an atomic batch through ``repro.mof.txn.transaction``
-check      ``Session.check`` riding a connection-scoped
-           :class:`~repro.incremental.IncrementalEngine`
+check      ``Session.check`` riding the repository's shared
+           :class:`~repro.incremental.IncrementalEngine` view
 watch      ``Session.watch`` + server-push diagnostics events
 stats      ``Session.stats()`` passthrough (+ server counters)
-close      engine/watch teardown for one connection
+close      watch teardown for one connection
 ========== =====================================================
 
 Isolation is optimistic: every repository carries an *edit epoch*, a
 stale ``edit-txn`` is rejected with a replayable ``conflict`` error,
-and each connection keeps its own warm incremental engine per
-repository.  See :mod:`repro.server.dispatch` for the concurrency
-model and :mod:`repro.server.protocol` for the wire contract.
+and every connection checking a family selection of a repository reads
+one shared, warm incremental view of it.  See
+:mod:`repro.server.dispatch` for the concurrency model and
+:mod:`repro.server.protocol` for the wire contract.
 
 Durability and liveness (:mod:`repro.server.durability`,
 :mod:`repro.server.transport`): a server started with ``wal_dir=``

@@ -22,17 +22,21 @@ Concurrency model
   global edit lock, and serializes checks against edits per repository
   with a per-repo lock.  Readers of different repositories never contend
   with each other.
-* **Connection-scoped incremental engines.**  Each connection gets its
-  own :class:`~repro.incremental.IncrementalEngine` per repository,
-  created on first ``check`` and kept warm.  Another client's *checks*
-  never touch it, and edits to a *different* repository never invalidate
-  it — only committed edits to the same repository mark the precisely
-  affected units dirty (that is correctness, not interference).
+* **One shared incremental view per (repository, family selection).**
+  ``check`` rides the repository's view: one
+  :class:`~repro.incremental.IncrementalEngine` per selection, built by
+  ``Session.watch`` on first use and kept for the repository's
+  lifetime.  ``check``, the ``watch`` fan-out and ``stats`` read it
+  under the repository lock, so a committed epoch is revalidated once
+  per selection, not once per connection, and ``close`` tears down
+  only the connection's watches.  Edits to a *different* repository
+  never invalidate a view; committed edits to the same one mark the
+  precisely affected units dirty.
 
 Backpressure and failure isolation surface through ``repro.obs``:
 ``server.requests`` (by verb/outcome), ``server.conflicts``,
 ``server.latency`` histograms, and the ``stats`` verb, which also
-reports each engine's checker quarantine.
+reports the default view's checker quarantine.
 """
 
 from __future__ import annotations
@@ -43,12 +47,13 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..incremental import IncrementalEngine
 from ..mof.kernel import Element, MetaClass, MetaPackage
 from ..mof.repository import Model
 from ..mof.txn import transaction
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from ..session import Session
+from ..session import Session, _as_severity
 from . import durability as _durability
 from .protocol import (
     ProtocolError,
@@ -64,8 +69,8 @@ PROTOCOL_VERSION = 1
 
 #: Per-verb wall-clock budgets (seconds).  A request past its budget is
 #: shed before it runs, and the long verbs re-check cooperatively at
-#: safe points (per edit op, before a cache-missing check) so a blown
-#: deadline aborts with everything rolled back.
+#: safe points (per edit op, once a check holds the repository lock) so
+#: a blown deadline aborts with everything rolled back.
 DEFAULT_DEADLINES: Dict[str, float] = {
     "ping": 5.0,
     "close": 5.0,
@@ -199,8 +204,16 @@ def _require_param(params: Dict[str, Any], key: str, kind: type) -> Any:
     return value
 
 
+def _severity_param(params: Dict[str, Any]) -> Any:
+    try:
+        return _as_severity(params.get("severity"))
+    except ValueError as exc:
+        raise ServerError("bad-params", str(exc))
+
+
 class RepoState:
-    """One hosted repository: a session, its edit epoch, and watchers."""
+    """One hosted repository: a session, its edit epoch, watchers and
+    shared incremental views."""
 
     def __init__(self, name: str, session: Session):
         self.name = name
@@ -215,13 +228,30 @@ class RepoState:
         # appended inside the edit transaction, before the epoch bump
         # is acknowledged.
         self.wal: Optional[_durability.WriteAheadLog] = None
-        # cross-connection check-result cache: (families, severity,
-        # columnar) -> the check document computed at the current
-        # epoch.  Check results are pure functions of (model state,
-        # parameters), and model state only changes through committed
-        # edit-txns — so the cache is cleared exactly on epoch bump and
-        # any connection may reuse any other's document.
-        self.check_cache: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
+        # resolved family selection -> the engine every connection
+        # checking that selection reads, under ``lock``
+        self.views: Dict[Tuple[str, ...], IncrementalEngine] = {}
+
+    def selection(self, families: Any) -> Tuple[str, ...]:
+        """Resolve a wire ``families`` param to its view key (canonical
+        order, so both orderings of a selection share one view)."""
+        if families is not None and not isinstance(families, list):
+            raise ServerError("bad-params",
+                              "'families' must be a list of family names")
+        try:
+            return self.session._resolve_families(families)
+        except ValueError as exc:
+            raise ServerError("bad-params", str(exc))
+
+    def view(self, selection: Tuple[str, ...]) -> IncrementalEngine:
+        """The shared view of *selection*, revalidated to the current
+        epoch and built on first use; the caller holds ``lock``."""
+        view = self.views.get(selection)
+        if view is None:
+            view = self.views[selection] = self.session.watch(selection)
+        else:
+            view.revalidate()
+        return view
 
     def summary(self) -> Dict[str, Any]:
         document = {
@@ -233,6 +263,7 @@ class RepoState:
             "edits_applied": self.edits_applied,
             "edits_rejected": self.edits_rejected,
             "watchers": len(self.watchers),
+            "views": len(self.views),
         }
         if self.wal is not None:
             document["wal"] = self.wal.stats()
@@ -368,7 +399,7 @@ class ModelServer:
                     state.wal.flush()
 
     def shutdown(self) -> None:
-        """Close every connection (detaching their engines) and every
+        """Close every connection, detach every view and close every
         write-ahead log."""
         with self._lock:
             connections = list(self._connections.values())
@@ -376,8 +407,11 @@ class ModelServer:
         for conn in connections:
             conn.cleanup()
         for state in states:
-            if state.wal is not None:
-                with state.lock:
+            with state.lock:
+                for view in state.views.values():
+                    view.detach()
+                state.views.clear()
+                if state.wal is not None:
                     state.wal.close()
 
     # -- aggregate stats ---------------------------------------------------
@@ -402,7 +436,7 @@ class ModelServer:
 
 
 class ServerConnection:
-    """One client: per-repo incremental engines, watches, FIFO dispatch."""
+    """One client: watches and FIFO dispatch."""
 
     def __init__(self, server: ModelServer, conn_id: int,
                  send: Callable[[Dict[str, Any]], None]):
@@ -410,7 +444,6 @@ class ServerConnection:
         self.id = conn_id
         self._send = send
         self._send_lock = threading.Lock()
-        self.engines: Dict[str, Any] = {}        # repo name -> engine
         self.watching: Dict[str, Dict[str, Any]] = {}
         self.closed = False
         self._deadline: Optional[float] = None   # monotonic, per request
@@ -505,9 +538,9 @@ class ServerConnection:
 
     def check_deadline(self) -> None:
         """Raise ``deadline-exceeded`` if the active request blew its
-        budget.  Called at cooperative safe points (per edit op, before
-        a cache-missing check) — any partial work is rolled back by the
-        enclosing transaction."""
+        budget.  Called at cooperative safe points (per edit op, once a
+        check holds the repository lock) — any partial work is rolled
+        back by the enclosing transaction."""
         deadline = self._deadline
         if deadline is None or time.monotonic() <= deadline:
             return
@@ -524,13 +557,11 @@ class ServerConnection:
             {"verb": verb, "replayable": True})
 
     def cleanup(self) -> None:
-        """Detach engines and watches; idempotent (EOF and close verb)."""
+        """Drop this connection's watches; idempotent (EOF and close
+        verb)."""
         if self.closed:
             return
         self.closed = True
-        for engine in self.engines.values():
-            engine.detach()
-        self.engines.clear()
         self.watching.clear()
         self.server._disconnect(self)
 
@@ -595,68 +626,20 @@ class ServerConnection:
         return summary
 
     def _verb_check(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Family-filtered checking over this connection's warm engine."""
+        """Family-filtered checking over the repository's shared view."""
         state = self._repo_param(params)
-        families = params.get("families")
-        if families is not None and not isinstance(families, list):
-            raise ServerError("bad-params",
-                              "'families' must be a list of family names")
-        severity = params.get("severity")
-        incremental = bool(params.get("incremental", True))
-        columnar = bool(params.get("columnar", False))
-        key = (tuple(families) if families is not None else None,
-               severity, columnar)
+        selection = state.selection(params.get("families"))
+        severity = _severity_param(params)
         with state.lock:
-            cached = state.check_cache.get(key)
-            _metrics.REGISTRY.counter(
-                "server.check_cache",
-                help="cross-connection check-result cache lookups",
-                result="hit" if cached is not None else "miss").inc()
-            if cached is not None:
-                document = dict(cached)
+            self.check_deadline()     # we may have queued behind edits
+            if params.get("incremental", True):
+                result = state.view(selection).check_result()
             else:
-                self.check_deadline()   # a full check is the costly path
-                if columnar:
-                    state.model.enable_columns()
-                try:
-                    if incremental:
-                        engine = self._engine(state, families)
-                        engine.revalidate()
-                        result = engine.check_result()
-                    else:
-                        result = state.session.check(families=families)
-                except ValueError as exc:
-                    raise ServerError("bad-params", str(exc))
-                if severity is not None:
-                    try:
-                        result = result.filtered(severity)
-                    except ValueError as exc:
-                        raise ServerError("bad-params", str(exc))
-                document = result.to_json()
-                state.check_cache[key] = dict(document)
-        document["repo"] = state.name
-        document["epoch"] = state.epoch
+                result = state.session.check(selection)
+            document = result.filtered(severity).to_json()
+            document["repo"] = state.name
+            document["epoch"] = state.epoch
         return document
-
-    def _engine(self, state: RepoState, families: Optional[List[str]]):
-        """This connection's engine for *state*, created on first use.
-
-        The family selection is fixed at creation (same contract as
-        ``Session.watch``); a later ``check`` with different families
-        rebuilds the engine.
-        """
-        key = state.name
-        engine = self.engines.get(key)
-        selection = tuple(families) if families is not None else None
-        if engine is not None \
-                and getattr(engine, "_server_families", None) != selection:
-            engine.detach()
-            engine = None
-        if engine is None:
-            engine = state.session.watch(families=families)
-            engine._server_families = selection
-            self.engines[key] = engine
-        return engine
 
     def _verb_edit_txn(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """One atomic, epoch-guarded batch of edits."""
@@ -681,7 +664,6 @@ class ServerConnection:
                 applied, touched = self._apply_ops(state, ops)
             state.epoch += 1
             state.edits_applied += 1
-            state.check_cache.clear()     # documents were per-epoch
             epoch = state.epoch
             if state.wal is not None:
                 state.wal.maybe_compact(state.model, epoch)
@@ -729,19 +711,16 @@ class ServerConnection:
         """Push a diagnostics event to every watcher of *state*.
 
         Runs with the repo lock held (we are still inside the committing
-        request), so each watcher's engine revalidates against exactly
-        the committed epoch.
+        request), so each watched view revalidates against exactly the
+        committed epoch, once however many connections watch it.
         """
         for conn in list(state.watchers.values()):
             spec = conn.watching.get(state.name)
             if spec is None:
                 continue
-            engine = conn._engine(state, spec.get("families"))
-            engine.revalidate()
-            result = engine.check_result()
-            if spec.get("severity") is not None:
-                result = result.filtered(spec["severity"])
-            document = result.to_json() if spec.get("full") else {
+            result = state.view(spec["families"]).check_result() \
+                .filtered(spec["severity"])
+            document = result.to_json() if spec["full"] else {
                 "ok": result.ok,
                 "errors": len(result.errors),
                 "warnings": len(result.warnings),
@@ -758,39 +737,33 @@ class ServerConnection:
             self.watching.pop(state.name, None)
             state.watchers.pop(self.id, None)
             return {"repo": state.name, "watching": False}
-        families = params.get("families")
-        if families is not None and not isinstance(families, list):
-            raise ServerError("bad-params",
-                              "'families' must be a list of family names")
-        spec = {"families": families,
-                "severity": params.get("severity"),
+        spec = {"families": state.selection(params.get("families")),
+                "severity": _severity_param(params),
                 "full": bool(params.get("full", False))}
         with state.lock:
-            engine = self._engine(state, families)   # prime the warm state
-            engine.revalidate()
+            result = state.view(spec["families"]).check_result()
             self.watching[state.name] = spec
             state.watchers[self.id] = self
-            result = engine.check_result()
-        return {"repo": state.name, "watching": True, "epoch": state.epoch,
-                "errors": len(result.errors),
-                "warnings": len(result.warnings)}
+            return {"repo": state.name, "watching": True,
+                    "epoch": state.epoch, "errors": len(result.errors),
+                    "warnings": len(result.warnings)}
 
     def _verb_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Server-wide stats; with ``repo``, that session's stats dict
-        (a passthrough of :meth:`repro.session.Session.stats`) plus this
-        connection's engine/quarantine state."""
+        (a passthrough of :meth:`repro.session.Session.stats`) plus the
+        default-selection view's engine/quarantine state, once built."""
         if "repo" in params:
             state = self._repo_param(params)
             with state.lock:
                 document = state.session.stats()
-            document["server"] = state.summary()
-            engine = self.engines.get(state.name)
-            if engine is not None:
-                document["engine"] = {
-                    "units": engine.unit_count(),
-                    "stats": engine.stats.summary(),
-                    "quarantined": engine.quarantine_report(),
-                }
+                document["server"] = state.summary()
+                view = state.views.get(state.selection(None))
+                if view is not None:
+                    document["engine"] = {
+                        "units": view.unit_count(),
+                        "stats": view.stats.summary(),
+                        "quarantined": view.quarantine_report(),
+                    }
             return document
         return self.server.stats_document()
 

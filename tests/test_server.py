@@ -7,7 +7,9 @@ disconnects and true multi-client concurrency on real sockets.
 """
 
 import json
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -50,6 +52,22 @@ def named_eids(state, limit=None):
 def rename_op(eid, new_name):
     return {"op": "set", "element": eid, "feature": "name",
             "value": new_name}
+
+
+def pages_op(eid, pages):
+    return {"op": "set", "element": eid, "feature": "pages", "value": pages}
+
+
+def book_eids(state, limit):
+    return [element.eid for element in state.model.all_elements()
+            if element.meta.name == "GBook"][:limit]
+
+
+def diagnostic_multiset(document):
+    """(family, record) pairs of a check document, as a multiset."""
+    return Counter((family, json.dumps(record, sort_keys=True))
+                   for family, records in document["families"].items()
+                   for record in records)
 
 
 # ---------------------------------------------------------------------------
@@ -178,55 +196,156 @@ class TestVerbs:
             assert excinfo.value.code == "no-such-repo"
 
 
-class TestCheckCache:
-    """The per-repo check-result cache is shared across connections and
-    keyed on (families, severity, columnar); an edit-txn epoch bump
-    invalidates it wholesale."""
+class TestSharedView:
+    """Every connection checking one family selection of a repository
+    reads one shared incremental view, keyed by the resolved selection
+    and kept for the repository's lifetime."""
 
-    @staticmethod
-    def _cache_counts():
-        from repro.obs.metrics import REGISTRY
-        hit = REGISTRY.get("server.check_cache", result="hit")
-        miss = REGISTRY.get("server.check_cache", result="miss")
-        return ((hit.value if hit else 0), (miss.value if miss else 0))
-
-    def test_identical_checks_hit_across_connections(self, server):
-        host_corpus(server)
+    def test_two_connections_share_one_view(self, server):
+        state = host_corpus(server)
         with InProcessClient(server) as first, \
                 InProcessClient(server) as second:
-            hits0, misses0 = self._cache_counts()
             mine = first.request("check", repo="main")
+            (view,) = state.views.values()
             theirs = second.request("check", repo="main")
-            assert theirs == mine
-            hits1, misses1 = self._cache_counts()
-            assert misses1 == misses0 + 1
-            assert hits1 == hits0 + 1
+            assert json.dumps(theirs) == json.dumps(mine)
+            # severity filters the view's result; it is not a key
+            second.request("check", repo="main", severity="error")
+            assert list(state.views.values()) == [view]
+        # closing connections leaves the view attached and in place
+        assert state.views == {state.selection(None): view}
+        assert view._attached
+        server.shutdown()
+        assert state.views == {} and not view._attached
 
-    def test_different_parameters_miss(self, server):
-        host_corpus(server)
+    def test_selection_orderings_share_one_view(self, server):
+        state = host_corpus(server)
         with InProcessClient(server) as client:
-            _, misses0 = self._cache_counts()
-            client.request("check", repo="main")
-            client.request("check", repo="main", severity="error")
             client.request("check", repo="main",
-                           families=["structural"])
-            _, misses1 = self._cache_counts()
-            assert misses1 == misses0 + 3
+                           families=["structural", "invariant"])
+            (view,) = state.views.values()
+            runs = view.stats.unit_runs
+            for families in (["invariant", "structural"],
+                             ["structural", "invariant"]) * 2:
+                client.request("check", repo="main", families=families)
+            assert list(state.views.values()) == [view]
+            assert view.stats.unit_runs == runs
 
-    def test_epoch_bump_invalidates(self, server):
+    def test_watcher_with_second_selection_never_rebuilds(self, server):
         state = host_corpus(server)
         eid = named_eids(state, 1)[0]
+        with InProcessClient(server) as watcher, \
+                InProcessClient(server) as editor:
+            watcher.request("watch", repo="main")
+            watcher.request("check", repo="main", families=["structural"])
+            views = dict(state.views)
+            assert len(views) == 2
+            runs = {key: view.stats.unit_runs
+                    for key, view in views.items()}
+            for epoch in range(2):
+                editor.request("edit-txn", repo="main", base_epoch=epoch,
+                               ops=[rename_op(eid, f"Watched{epoch}")])
+                watcher.request("check", repo="main",
+                                families=["structural"])
+            assert len(watcher.drain_events()) == 2
+            assert state.views.keys() == views.keys()
+            for key, view in views.items():
+                assert state.views[key] is view and view._attached
+                # revalidated, not rebuilt: far fewer runs than units
+                assert view.stats.unit_runs - runs[key] < view.unit_count()
+
+    def test_rejected_selection_never_serves_a_stale_view(self, server):
+        state = host_corpus(server, size=200)
+        book = book_eids(state, 1)[0]
         with InProcessClient(server) as client:
-            stale = client.request("check", repo="main")
-            assert stale["epoch"] == 0
+            client.request("check", repo="main")
+            with pytest.raises(RemoteError) as excinfo:
+                client.request("check", repo="main", families=["nope"])
+            assert excinfo.value.code == "bad-params"
             client.request("edit-txn", repo="main", base_epoch=0,
-                           ops=[rename_op(eid, "CacheBuster")])
-            assert state.check_cache == {}
-            hits0, misses0 = self._cache_counts()
-            fresh = client.request("check", repo="main")
-            assert fresh["epoch"] == 1
-            hits1, misses1 = self._cache_counts()
-            assert (hits1, misses1) == (hits0, misses0 + 1)
+                           ops=[pages_op(book, -7)])
+            served = client.request("check", repo="main")
+        fresh = state.session.check().to_json()
+        assert served["epoch"] == 1
+        assert diagnostic_multiset(served) == diagnostic_multiset(fresh)
+        assert served["errors"] == fresh["errors"] >= 1
+
+    def test_incremental_matches_full_pass_across_edits(self, server):
+        state = host_corpus(server)
+        books = book_eids(state, 3)
+        edits = [[pages_op(books[0], -1)],
+                 [pages_op(books[1], -2), rename_op(books[2], "Edited")],
+                 [pages_op(books[0], 12)]]
+        with InProcessClient(server) as client:
+            for epoch in range(len(edits) + 1):
+                served = client.request("check", repo="main")
+                full = client.request("check", repo="main",
+                                      incremental=False)
+                assert served["epoch"] == full["epoch"] == epoch
+                assert diagnostic_multiset(served) == \
+                    diagnostic_multiset(full)
+                for key in ("ok", "errors", "warnings", "infos"):
+                    assert served[key] == full[key]
+                if epoch < len(edits):
+                    client.request("edit-txn", repo="main",
+                                   base_epoch=epoch, ops=edits[epoch])
+
+    def test_racing_connections_build_one_view(self, server):
+        """More connection threads than cores check both orderings of a
+        selection while committing edits; a lost update on the view map
+        would leave a second engine observing the model."""
+        state = host_corpus(server, size=100, seed=9)
+        eids = named_eids(state, 6)
+        selections = (["structural", "invariant"],
+                      ["invariant", "structural"])
+        listeners = len(state.model.index().listeners)
+        barrier = threading.Barrier(6)
+        failures = []
+
+        def worker(index):
+            try:
+                with InProcessClient(server) as client:
+                    barrier.wait(timeout=30)
+                    for round_ in range(4):
+                        client.request("check", repo="main",
+                                       families=selections[
+                                           (index + round_) % 2])
+                        while True:
+                            try:
+                                client.request(
+                                    "edit-txn", repo="main",
+                                    base_epoch=state.epoch,
+                                    ops=[rename_op(eids[index],
+                                                   f"w{index}-{round_}")])
+                                break
+                            except RemoteError as error:
+                                assert error.code == "conflict"
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                failures.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(n,))
+                   for n in range(6)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert state.epoch == 24
+        assert list(state.views) == [("structural", "invariant")]
+        assert len(state.model.index().listeners) == listeners + 1
+        with InProcessClient(server) as client:
+            served = client.request("check", repo="main",
+                                    families=selections[0])
+        (view,) = state.views.values()
+        assert view.verify() == []
+        fresh = state.session.check(selections[0]).to_json()
+        assert diagnostic_multiset(served) == diagnostic_multiset(fresh)
 
     def test_cached_document_is_a_copy(self, server):
         host_corpus(server)
@@ -235,15 +354,6 @@ class TestCheckCache:
             first["families"] = "mutated by the caller"
             again = client.request("check", repo="main")
             assert again["families"] != "mutated by the caller"
-
-    def test_workers_and_columnar_parity_over_the_wire(self, server):
-        host_corpus(server)
-        with InProcessClient(server) as client:
-            serial = client.request("check", repo="main",
-                                    incremental=False)
-            columnar = client.request("check", repo="main",
-                                      columnar=True, incremental=False)
-            assert columnar == serial
 
 
 class TestEditTxn:
@@ -366,6 +476,28 @@ class TestEditTxn:
             watcher.close()
             editor.close()
 
+    @pytest.mark.parametrize("bad", [{"severity": "fatal"},
+                                     {"families": ["nope"]}],
+                             ids=["severity", "families"])
+    def test_watch_rejects_bad_params_before_subscribing(self, server, bad):
+        state = host_corpus(server)
+        eid = named_eids(state, 1)[0]
+        watcher = InProcessClient(server)
+        editor = InProcessClient(server)
+        try:
+            with pytest.raises(RemoteError) as excinfo:
+                watcher.request("watch", repo="main", **bad)
+            assert excinfo.value.code == "bad-params"
+            assert state.watchers == {} and state.views == {}
+            # editors keep committing cleanly
+            result = editor.request("edit-txn", repo="main", base_epoch=0,
+                                    ops=[rename_op(eid, "Unwatched")])
+            assert result["epoch"] == 1
+            assert watcher.drain_events() == []
+        finally:
+            watcher.close()
+            editor.close()
+
     def test_stats_verb_is_session_passthrough(self, server):
         state = host_corpus(server)
         with InProcessClient(server) as client:
@@ -385,49 +517,25 @@ class TestEditTxn:
 # ---------------------------------------------------------------------------
 
 class TestIsolation:
+    """Asserted on the repository's shared view."""
+
     def test_other_repo_edits_never_invalidate_my_engine(self, server):
-        host_corpus(server, "alpha", size=60, seed=4)
+        alpha = host_corpus(server, "alpha", size=60, seed=4)
         beta = host_corpus(server, "beta", size=60, seed=5)
         reader = InProcessClient(server)
         editor = InProcessClient(server)
         try:
             reader.request("check", repo="alpha")
-            engine = reader._conn.engines["alpha"]
-            baseline = engine.stats.invalidations
+            (view,) = alpha.views.values()
+            baseline = view.stats.invalidations
             editor.request(
                 "edit-txn", repo="beta", base_epoch=0,
                 ops=[rename_op(named_eids(beta, 1)[0], "BetaEdit")])
-            assert engine.stats.invalidations == baseline
-            assert not engine._dirty
+            assert view.stats.invalidations == baseline
+            assert not view._dirty
         finally:
             reader.close()
             editor.close()
-
-    def test_other_clients_checks_never_touch_my_engine(self, server):
-        host_corpus(server, "alpha", size=60, seed=4)
-        first = InProcessClient(server)
-        second = InProcessClient(server)
-        try:
-            first.request("check", repo="alpha")
-            mine = first._conn.engines["alpha"]
-            baseline = (mine.stats.revalidations, mine.stats.unit_runs)
-            for _ in range(3):
-                second.request("check", repo="alpha")
-            # identical same-epoch checks are served from the repo's
-            # check cache: the second client never even builds an
-            # engine, let alone touches mine
-            assert "alpha" not in second._conn.engines
-            assert (mine.stats.revalidations,
-                    mine.stats.unit_runs) == baseline
-            # a differently-parameterized check does build its own
-            second.request("check", repo="alpha", severity="error")
-            theirs = second._conn.engines["alpha"]
-            assert theirs is not mine
-            assert (mine.stats.revalidations,
-                    mine.stats.unit_runs) == baseline
-        finally:
-            first.close()
-            second.close()
 
     def test_same_repo_edit_invalidates_precisely(self, server):
         state = host_corpus(server, "alpha", size=60, seed=4)
@@ -435,14 +543,18 @@ class TestIsolation:
         editor = InProcessClient(server)
         try:
             reader.request("check", repo="alpha")
-            engine = reader._conn.engines["alpha"]
+            (view,) = state.views.values()
+            baseline = view.stats.invalidations
             editor.request(
                 "edit-txn", repo="alpha", base_epoch=0,
                 ops=[rename_op(named_eids(state, 1)[0], "AlphaEdit")])
-            # correctness: the committed edit marks affected units dirty
-            assert engine.stats.invalidations > 0
+            # correctness: the committed edit marks the affected units
+            # dirty, and only those
+            assert 0 < len(view._dirty) < view.unit_count()
+            assert view.stats.invalidations - baseline == len(view._dirty)
             document = reader.request("check", repo="alpha")
             assert document["epoch"] == 1
+            assert not view._dirty
         finally:
             reader.close()
             editor.close()
