@@ -11,6 +11,10 @@ incrementally revalidated single-element edit (renames and guard
 tweaks), across model sizes up to ~10^4 elements, plus the cache-
 correctness spot check that both paths report identical diagnostics.
 
+Also printed, without a gate: the traced memory (tracemalloc) of the
+model and of the warm engine at each size, and the engine's and its
+dependency index's bytes per recorded (unit, read key) edge.
+
 Set ``REPRO_BENCH_QUICK=1`` (CI smoke) to run a reduced size/edit count.
 """
 
@@ -18,8 +22,9 @@ import os
 import random
 import statistics
 import time
+import tracemalloc
 
-from repro.incremental import IncrementalEngine, report_signature
+from repro.incremental import IncrementalEngine, report_signature, tracking
 from workloads import make_sized_pim
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
@@ -117,3 +122,34 @@ def test_e14_edit_cost_does_not_scale_with_model():
     # and must always be a sliver of the whole
     for size, worst, total in reruns:
         assert worst < total * 0.05 + 10, (size, worst, total)
+
+
+def test_e14_engine_memory():
+    """What a warm engine holds next to the model it checks (printed
+    only; tracemalloc slows the build, so nothing here is timed)."""
+    print("\nE14: traced memory of the model and of a warm engine")
+    print(f"{'classes':>8} {'elements':>9} {'model MiB':>10} "
+          f"{'engine MiB':>11} {'index MiB':>10} {'edges':>8} "
+          f"{'engine B/edge':>14} {'index B/edge':>13}")
+    for size in SIZES:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = make_sized_pim(size).model
+            built = tracemalloc.get_traced_memory()[0]
+            engine = IncrementalEngine(model)
+            engine.revalidate()
+            warm = tracemalloc.get_traced_memory()[0]
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        index = sum(stat.size for stat in snapshot.filter_traces(
+            [tracemalloc.Filter(True, tracking.__file__)]).statistics(
+                "filename"))
+        edges = engine.index_size()["edges"]
+        n_elements = 1 + sum(1 for _ in model.all_contents())
+        print(f"{size:>8} {n_elements:>9} {(built - before) / 2**20:>10.2f} "
+              f"{(warm - built) / 2**20:>11.2f} {index / 2**20:>10.2f} "
+              f"{edges:>8} {(warm - built) / edges:>14.0f} "
+              f"{index / edges:>13.0f}")
+        engine.detach()

@@ -540,8 +540,13 @@ class IncrementalEngine:
     # -- change intake -----------------------------------------------------
 
     def _on_membership(self, element: Element, entered: bool) -> None:
-        # an index transition; the latest one per element decides at sync
-        self._transitions[id(element)] = (element, entered)
+        # an index transition; the latest one per element decides at sync.
+        # An element that leaves before the engine ever had it needs no
+        # sync, and keeping its transition would keep it alive until one.
+        if entered or id(element) in self._elements:
+            self._transitions[id(element)] = (element, entered)
+        else:
+            self._transitions.pop(id(element), None)
         self._structure_dirty = True
 
     def _on_change(self, notification: Notification) -> None:
@@ -756,9 +761,18 @@ class IncrementalEngine:
     def unit_count(self) -> int:
         return len(self._units)
 
+    def index_size(self) -> Dict[str, int]:
+        """The dependency index's size: units with recorded reads,
+        distinct read keys, and (unit, key) edges."""
+        deps = self._deps
+        return {"units": len(deps), "keys": deps.key_count(),
+                "edges": deps.edge_count()}
+
     def verify(self) -> List[str]:
         """Compare membership and reports against a recomputation from
-        scratch; return a list of discrepancies (empty when consistent).
+        scratch and audit the dependency index
+        (:meth:`DependencyGraph.verify`); return a list of discrepancies
+        (empty when consistent).
 
         Meant to run right after :meth:`revalidate`: edits made since
         then are not yet applied and show up as discrepancies.
@@ -783,6 +797,7 @@ class IncrementalEngine:
         problems += [f"empty result kept: {key!r}"
                      for key, diagnostics in self._results.items()
                      if not diagnostics]
+        problems += self._deps.verify(self._units)
         if orphans:
             return problems     # the report scan below needs every unit
         # the reference: a scan of every unit, in unit order

@@ -761,6 +761,7 @@ class ServerConnection:
                 if view is not None:
                     document["engine"] = {
                         "units": view.unit_count(),
+                        "index": view.index_size(),
                         "stats": view.stats.summary(),
                         "quarantined": view.quarantine_report(),
                     }

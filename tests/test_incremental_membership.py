@@ -17,7 +17,7 @@ from repro.generate import demo_generator, demo_package
 from repro.incremental import IncrementalEngine, report_signature
 from repro.mof import Model
 from repro.mof.txn import transaction
-from repro.mof.validate import validate_tree
+from repro.mof.validate import ValidationReport, validate_tree
 from repro.ocl.invariants import ConstraintSet
 from repro.session import Session
 
@@ -189,3 +189,26 @@ def test_family_without_diagnostics_is_listed_empty():
         families=("structural", "invariant")).to_json()
     assert engine.verify() == []
     engine.detach()
+
+
+def test_idle_view_keeps_no_element_created_and_deleted_since():
+    session = Session.generate("demo", size=2000, seed=0, repair=False)
+    default = session.watch()
+    idle = session.watch(["structural"])
+    shelf = next(element for element in session.model.all_elements()
+                 if element.meta is classifier("GShelf"))
+    for round_ in range(800):
+        book = classifier("GBook")(name=f"transient-{round_}", pages=1)
+        shelf.books.append(book)
+        book.delete()
+        if round_ % 50 == 49:
+            default.revalidate()
+    # the idle view never had those books: nothing pins them until its
+    # next revalidation
+    assert idle._transitions == {}
+    actual = report_signature(idle.revalidate())
+    assert idle.verify() == []
+    assert actual == report_signature(ValidationReport(
+        session.check(["structural"]).diagnostics))
+    default.detach()
+    idle.detach()

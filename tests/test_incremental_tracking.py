@@ -1,0 +1,160 @@
+"""The dependency index behind incremental revalidation.
+
+:class:`DependencyGraph` interns read keys as integer slots and keeps
+readers in tuples or sets by count.  These tests hold it to a plain
+dict-of-sets reference over a seeded random sequence of updates, check
+that a dropped unit releases the objects it read, that the engine's
+``verify()`` audits the index, and that the index stays compact.
+"""
+
+from __future__ import annotations
+
+import gc
+import random
+import tracemalloc
+import weakref
+
+from repro.generate import demo_package
+from repro.incremental import DependencyGraph, IncrementalEngine, tracking
+from repro.session import Session
+
+
+class _Thing:
+    """A read target compared by identity, as elements are."""
+
+
+class _Reference:
+    """The index as two dicts of sets: the representation the compact
+    graph replaced, kept here as its oracle."""
+
+    def __init__(self):
+        self.reads = {}
+        self.readers = {}
+
+    def set_reads(self, unit, keys):
+        old = self.reads.pop(unit, set())
+        for key in old - keys:
+            self.readers[key].discard(unit)
+            if not self.readers[key]:
+                del self.readers[key]
+        for key in keys - old:
+            self.readers.setdefault(key, set()).add(unit)
+        if keys:
+            self.reads[unit] = set(keys)
+
+
+def _fresh(keys):
+    # the read hook builds a new tuple per read: never hand the graph the
+    # objects it interned
+    return {(thing, name) for thing, name in keys}
+
+
+def test_graph_matches_a_dict_of_sets_reference():
+    rng = random.Random(17)
+    things = [_Thing() for _ in range(50)]
+    keys = [(things[i % 50], f"feature{i // 50}") for i in range(200)]
+    hot = keys[0]
+    units = [("unit", i) for i in range(50)]
+    graph, reference = DependencyGraph(), _Reference()
+    most_hot_readers, hot_fell_back = 0, False
+    ever_free, reused = set(), False
+    for step in range(1500):
+        # the hot key is read by most units in the first and third
+        # phases and by none in the second, so its readers cross the
+        # small-reader size both ways
+        phase_hot = (step // 500) != 1
+        unit = rng.choice(units)
+        if rng.random() < 0.15:
+            graph.drop(unit)
+            reference.set_reads(unit, set())
+        else:
+            chosen = set(rng.sample(keys[1:], rng.randint(0, 12)))
+            if phase_hot and rng.random() < 0.8:
+                chosen.add(hot)
+            graph.set_reads(unit, _fresh(chosen))
+            reference.set_reads(unit, chosen)
+
+        for key in keys:
+            assert set(graph.readers(key)) == reference.readers.get(
+                key, set()), (step, key)
+        for each in units:
+            assert graph.reads(each) == frozenset(
+                reference.reads.get(each, ())), (step, each)
+        assert len(graph) == len(reference.reads)
+        assert graph.key_count() == len(reference.readers)
+        assert graph.edge_count() == sum(map(len, reference.reads.values()))
+        assert graph.verify(units) == [], step
+
+        hot_readers = len(reference.readers.get(hot, ()))
+        most_hot_readers = max(most_hot_readers, hot_readers)
+        if most_hot_readers > tracking._SMALL_READERS \
+                and hot_readers <= tracking._SMALL_READERS:
+            hot_fell_back = True
+        live = set(graph._slots.values())
+        reused = reused or bool(ever_free & live)
+        ever_free.update(graph._free)
+
+    assert most_hot_readers > tracking._SMALL_READERS
+    assert hot_fell_back
+    assert reused
+
+
+def test_drop_releases_the_key_object():
+    book = demo_package().classifier("GBook")(name="read-once", pages=1)
+    shared = _Thing()
+    graph = DependencyGraph()
+    graph.set_reads("reader", _fresh({(book, "pages"), (shared, "x")}))
+    graph.set_reads("other", _fresh({(shared, "x")}))
+    released = weakref.ref(book)
+    del book
+    gc.collect()
+    assert released() is not None      # the index pins what it indexes
+    graph.drop("reader")
+    gc.collect()
+    assert released() is None
+    assert graph.key_count() == 1 and graph.verify({"other"}) == []
+
+
+def _warm_engine():
+    session = Session.generate("demo", size=60, seed=2, repair=False)
+    engine = IncrementalEngine(session.model, wellformed=False, lint=False)
+    engine.revalidate()
+    assert engine.verify() == []
+    return engine
+
+
+def test_verify_reports_a_reader_removed_by_hand():
+    engine = _warm_engine()
+    deps = engine._deps
+    slot = next(slot for slot, readers in enumerate(deps._readers)
+                if len(readers) == 2)
+    deps._readers[slot] = deps._readers[slot][1:]
+    problems = engine.verify()
+    assert any("is not among its readers" in p for p in problems), problems
+    engine.detach()
+
+
+def test_verify_reports_reads_kept_for_a_dropped_unit():
+    engine = _warm_engine()
+    unit = next(iter(engine._deps._reads))
+    del engine._units[unit]
+    problems = engine.verify()
+    assert any("reads kept for a dropped unit" in p for p in problems)
+    engine.detach()
+
+
+def test_index_costs_at_most_160_bytes_per_edge():
+    session = Session.generate("demo", size=2000, seed=0, repair=False)
+    tracemalloc.start()
+    try:
+        view = session.watch()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    index = snapshot.filter_traces(
+        [tracemalloc.Filter(True, tracking.__file__)])
+    size = sum(stat.size for stat in index.statistics("filename"))
+    edges = view.index_size()["edges"]
+    assert edges > 30_000
+    assert size / edges <= 160, (size, edges)
+    view.detach()

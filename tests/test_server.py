@@ -511,6 +511,29 @@ class TestEditTxn:
             assert top["server"]["protocol"] >= 1
             assert "main" in top["server"]["repos"]
 
+    def test_stats_reports_the_dependency_index_size(self, server):
+        state = host_corpus(server)
+        with InProcessClient(server) as client:
+            client.request("check", repo="main")
+            (view,) = state.views.values()
+
+            def counted():
+                # counted afresh from every unit's reads
+                reads = [view._deps.reads(key) for key in view._units]
+                return {"units": sum(1 for found in reads if found),
+                        "keys": len(set().union(*reads)),
+                        "edges": sum(map(len, reads))}
+
+            index = client.request("stats", repo="main")["engine"]["index"]
+            assert index == counted() and index["edges"] > 0
+            book = book_eids(state, 1)[0]
+            client.request("edit-txn", repo="main", base_epoch=0, ops=[
+                pages_op(book, -5),
+                {"op": "delete", "element": book_eids(state, 2)[1]}])
+            client.request("check", repo="main")
+            moved = client.request("stats", repo="main")["engine"]["index"]
+            assert moved == counted() and moved != index
+
 
 # ---------------------------------------------------------------------------
 # isolation
