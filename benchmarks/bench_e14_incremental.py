@@ -13,7 +13,10 @@ correctness spot check that both paths report identical diagnostics.
 
 Also printed, without a gate: the traced memory (tracemalloc) of the
 model and of the warm engine at each size, and the engine's and its
-dependency index's bytes per recorded (unit, read key) edge.
+dependency index's bytes per recorded (unit, read key) edge; and the
+median revalidate time and units rerun after adding, and after
+deleting, one ``Property``: a structural edit, which reruns every unit
+whose instance query the property joins or leaves.
 
 Set ``REPRO_BENCH_QUICK=1`` (CI smoke) to run a reduced size/edit count.
 """
@@ -25,6 +28,8 @@ import time
 import tracemalloc
 
 from repro.incremental import IncrementalEngine, report_signature, tracking
+from repro.uml.classifiers import Clazz
+from repro.uml.features import Property
 from workloads import make_sized_pim
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
@@ -122,6 +127,47 @@ def test_e14_edit_cost_does_not_scale_with_model():
     # and must always be a sliver of the whole
     for size, worst, total in reruns:
         assert worst < total * 0.05 + 10, (size, worst, total)
+
+
+def test_e14_structural_edit_cost():
+    """Revalidate after adding and after deleting one Property (printed
+    only)."""
+    print("\nE14: revalidate after adding / deleting one Property")
+    print(f"{'classes':>8} {'elements':>9} {'add ms':>9} {'add units':>10} "
+          f"{'delete ms':>10} {'delete units':>13}")
+    for size in SIZES:
+        model = make_sized_pim(size).model
+        engine = IncrementalEngine(model)
+        engine.revalidate()
+        n_elements = 1 + sum(1 for _ in model.all_contents())
+        classes = [element for element in model.all_contents()
+                   if type(element) is Clazz]
+        rng = random.Random(size)
+        samples = {"add": ([], []), "delete": ([], [])}
+
+        def timed(kind):
+            started = time.perf_counter()
+            engine.revalidate()
+            times, units = samples[kind]
+            times.append(time.perf_counter() - started)
+            units.append(engine.stats.last_rerun)
+
+        for index in range(N_EDITS):
+            owner = rng.choice(classes)
+            extra = Property(name=f"extra{index}",
+                             type=owner.owned_attributes[0].type)
+            owner.owned_attributes.append(extra)
+            timed("add")
+            extra.delete()
+            timed("delete")
+        add_times, add_units = samples["add"]
+        delete_times, delete_units = samples["delete"]
+        print(f"{size:>8} {n_elements:>9} "
+              f"{statistics.median(add_times) * 1e3:>9.2f} "
+              f"{statistics.median(add_units):>10g} "
+              f"{statistics.median(delete_times) * 1e3:>10.2f} "
+              f"{statistics.median(delete_units):>13g}")
+        engine.detach()
 
 
 def test_e14_engine_memory():

@@ -140,7 +140,8 @@ def lint_rule(code: str, name: str, target: str, *,
               ) -> Callable[[CheckFn], CheckFn]:
     """Decorator: register *fn* as a lint rule and return it unchanged."""
     def decorate(fn: CheckFn) -> CheckFn:
-        (registry or DEFAULT_REGISTRY).register(LintRule(
+        target_registry = DEFAULT_REGISTRY if registry is None else registry
+        target_registry.register(LintRule(
             code=code, name=name, target=target, check=fn,
             severity=severity,
             description=description or (fn.__doc__ or "").strip(),

@@ -43,6 +43,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 from ..codegen.actions import parse_actions
 from ..codegen.ir import AssignStmt, CallStmt, SendStmt
 from ..mof.kernel import Element, MetaClass
+from ..mof.query import instances_of
 from ..ocl.ast import Node
 from ..uml.classifiers import Clazz, StructuredClassifier
 from ..uml.features import Operation, Parameter
@@ -427,13 +428,9 @@ def _association_components(root: Element
                             ) -> List[Tuple[List[Clazz],
                                             List[Association]]]:
     """Connected components of the class–association graph."""
-    classes: Dict[int, Clazz] = {}
-    associations: List[Association] = []
-    for element in [root] + list(root.all_contents()):
-        if isinstance(element, Association):
-            associations.append(element)
-        elif isinstance(element, Clazz):
-            classes.setdefault(id(element), element)
+    classes: Dict[int, Clazz] = {id(cls): cls
+                                 for cls in instances_of(root, Clazz)}
+    associations: List[Association] = instances_of(root, Association)
 
     parent: Dict[int, int] = {key: key for key in classes}
 
@@ -563,17 +560,16 @@ def _associated_pairs(root: Element) -> Set[Tuple[int, int]]:
         pairs.add((id(a), id(b)))
         pairs.add((id(b), id(a)))
 
-    for element in [root] + list(root.all_contents()):
-        if isinstance(element, Association):
-            types = [end.type for end in element.member_ends
-                     if end.type is not None]
-            for i, first in enumerate(types):
-                for second in types[i:]:
-                    connect(first, second)
-        elif isinstance(element, StructuredClassifier):
-            for prop in element.owned_attributes:
-                if isinstance(prop.type, Clazz):
-                    connect(element, prop.type)
+    for association in instances_of(root, Association):
+        types = [end.type for end in association.member_ends
+                 if end.type is not None]
+        for i, first in enumerate(types):
+            for second in types[i:]:
+                connect(first, second)
+    for classifier in instances_of(root, StructuredClassifier):
+        for prop in classifier.owned_attributes:
+            if isinstance(prop.type, Clazz):
+                connect(classifier, prop.type)
     return pairs
 
 

@@ -63,7 +63,7 @@ class ModelLinter:
     def __init__(self, registry: Optional[RuleRegistry] = None,
                  config: Optional[LintConfig] = None,
                  families: Iterable[str] = ("lint",)):
-        self.registry = registry or DEFAULT_REGISTRY
+        self.registry = DEFAULT_REGISTRY if registry is None else registry
         self.config = config or LintConfig()
         self.families = tuple(families)
 

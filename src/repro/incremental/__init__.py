@@ -23,11 +23,13 @@ from .engine import (
     report_signature,
     watch,
 )
-from .tracking import CONTAINER_KEY, DependencyGraph, ReadKey, collect_reads
+from .tracking import (CONTAINER_KEY, EXTENT_KEY, DependencyGraph, ReadKey,
+                       collect_reads)
 
 __all__ = [
     "CONTAINER_KEY",
     "DependencyGraph",
+    "EXTENT_KEY",
     "EngineStats",
     "IncrementalEngine",
     "QuarantineEntry",

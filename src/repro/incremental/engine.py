@@ -46,8 +46,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Un
 from .. import faults as _faults
 from ..analysis.registry import DEFAULT_REGISTRY, LintConfig, LintRule, RuleRegistry
 from ..analysis.runner import LintContext
+from ..mof.index import walk
 from ..mof.kernel import Element, MetaClass, Reference
-from ..mof.notify import Notification
+from ..mof.notify import ChangeKind, Notification
 from ..mof.repository import Model
 from ..mof.validate import (
     Diagnostic,
@@ -57,7 +58,8 @@ from ..mof.validate import (
 )
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from .tracking import CONTAINER_KEY, DependencyGraph, ReadKey, collect_reads
+from .tracking import (CONTAINER_KEY, EXTENT_KEY, DependencyGraph, ReadKey,
+                       collect_reads)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +280,7 @@ class IncrementalEngine:
             self.wellformed_rules = []
         self.lint = lint
         self.consistency = consistency
-        self.registry = registry or DEFAULT_REGISTRY
+        self.registry = DEFAULT_REGISTRY if registry is None else registry
         if config is None:
             config = LintConfig(disabled={"uml-wellformed"}
                                 if self.wellformed_rules else set())
@@ -548,6 +550,15 @@ class IncrementalEngine:
         else:
             self._transitions.pop(id(element), None)
         self._structure_dirty = True
+        self._invalidate_extents(element)
+
+    def _invalidate_extents(self, element: Element) -> None:
+        # every instance query whose answer holds *element* read the
+        # extent of its metaclass or of one of the superclasses
+        meta = element.meta
+        self._invalidate((meta, EXTENT_KEY))
+        for metaclass in meta.all_superclasses():
+            self._invalidate((metaclass, EXTENT_KEY))
 
     def _on_change(self, notification: Notification) -> None:
         self.stats.notifications += 1
@@ -558,6 +569,12 @@ class IncrementalEngine:
             for value in (notification.old, notification.new):
                 if isinstance(value, Element):
                     self._invalidate((value, CONTAINER_KEY))
+            if notification.kind is ChangeKind.MOVE \
+                    and isinstance(notification.new, Element):
+                # a reordering changes no membership, but it changes the
+                # preorder position of the moved subtree
+                for moved in walk(notification.new):
+                    self._invalidate_extents(moved)
         opposite = feature.opposite if isinstance(feature, Reference) \
             else None
         if opposite is not None and opposite.containment:

@@ -3,9 +3,11 @@
 The kernel funnels every feature read through ``_get_value`` (descriptor
 access, ``eget``, dynamic attribute lookup, ``contents()``) and reports
 container walks under the pseudo-feature
-:data:`~repro.mof.kernel.CONTAINER_KEY`.  :func:`collect_reads` taps that
-stream for the duration of one check, giving the engine the exact read
-set — ``(element, feature_name)`` pairs — of every invariant,
+:data:`~repro.mof.kernel.CONTAINER_KEY`, and an instance query over a
+model root as one *extent read*, ``(metaclass, EXTENT_KEY)`` (see
+:data:`~repro.mof.kernel.EXTENT_KEY`).  :func:`collect_reads` taps
+that stream for the duration of one check, giving the engine the exact
+read set — ``(object, feature_name)`` pairs — of every invariant,
 well-formedness rule and lint rule it runs.  :class:`DependencyGraph`
 inverts those read sets into a ``read key -> reader units`` index so a
 change notification maps to the units it invalidates in O(readers).
@@ -29,7 +31,7 @@ from typing import (Any, Collection, Container, Dict, FrozenSet, Iterator,
                     List, Optional, Sequence, Set, Tuple)
 
 from ..mof import kernel
-from ..mof.kernel import CONTAINER_KEY  # noqa: F401  (re-exported)
+from ..mof.kernel import CONTAINER_KEY, EXTENT_KEY  # noqa: F401  (re-exported)
 
 #: One observed read: ``(object, feature_name)``.  Objects are compared by
 #: identity (elements and metaclasses define neither ``__eq__`` nor

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .kernel import (
     CONTAINER_KEY,
+    EXTENT_KEY,
     Attribute,
     DynamicElement,
     Element,
@@ -99,7 +100,8 @@ from .validate import (
 )
 
 __all__ = [
-    "Attribute", "CONTAINER_KEY", "set_read_hook", "set_write_hook",
+    "Attribute", "CONTAINER_KEY", "EXTENT_KEY", "set_read_hook",
+    "set_write_hook",
     "set_notify_hook",
     "DiffKind", "DiffResult", "Difference", "compare", "ChangeKind", "ChangeRecorder", "ClassBuilder",
     "ColumnStore", "ExtentColumns",

@@ -26,8 +26,9 @@ Staleness protocol — the same discipline as :class:`~repro.mof.index.ModelInde
   store observes the model's notification stream and marks the mutated
   element's exact metaclass stale (plus, for containment changes, every
   metaclass in the attached/detached subtree — those elements enter or
-  leave their extents).  Invalidation walks raw ``_slots`` so it never
-  feeds the dependency-tracking read hook.
+  leave their extents).  Invalidation walks with
+  :func:`repro.mof.index.walk`, which reads raw slots, so it never feeds
+  the dependency-tracking read hook.
 * ``Model.add_root``/``remove_root`` call :meth:`root_added` /
   :meth:`root_removed` directly (root changes emit no notification).
 * While dependency tracking is active (``kernel._TRACKING``), all bulk
@@ -48,6 +49,7 @@ from array import array
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from . import kernel as _kernel
+from .index import walk
 from .kernel import Attribute, Element, Feature, MetaClass, Reference
 from .notify import ChangeKind, Notification
 
@@ -218,23 +220,12 @@ class ColumnStore:
             self.invalidations += 1
 
     def _invalidate_tree(self, element: Element) -> None:
-        # raw containment walk: must not fire the read hook (column
-        # maintenance is bookkeeping, not a tracked model read)
-        stack = [element]
-        while stack:
-            node = stack.pop()
+        # hook-free walk: column maintenance is bookkeeping, not a
+        # tracked model read
+        for node in walk(element):
             self._invalidate_meta(node.meta)
             if self._built == 0:
                 return
-            for feature in node.meta.containment_features():
-                if feature.many:
-                    slot = node._slots.get(feature.name)
-                    if slot is not None:
-                        stack.extend(slot._items)
-                else:
-                    child = node._slots.get(feature.name)
-                    if child is not None:
-                        stack.append(child)
 
     # -- block access ------------------------------------------------------
 

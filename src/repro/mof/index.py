@@ -10,6 +10,13 @@ per call — O(model) for answers that are usually tiny.  A
   metaclass and its transitive subclasses;
 * an **eid** index for ``uri#eid`` reference resolution.
 
+It also keeps each root's **preorder**: the elements of
+``[root] + list(root.all_contents())``, in that order, which
+:func:`repro.mof.query.instances_of` filters on a model root instead of
+walking the tree.  A preorder is taken on first use and dropped at the
+next containment change anywhere in the model (MOVE included, since it
+reorders), so it is walked again only after the tree changed.
+
 Staleness protocol — how the index stays honest against the live model:
 
 * **Containment notifications.**  Every mutation that moves an element
@@ -20,9 +27,9 @@ Staleness protocol — how the index stays honest against the live model:
   :meth:`Model._element_changed` and therefore the index's observer.
   The index reacts **only** to containment-feature notifications
   (ADD/SET attach a subtree, REMOVE/UNSET detach one; MOVE is a
-  reordering and leaves membership alone); the mirror notification on
-  the opposite (child) side is deliberately ignored so a move is never
-  double-handled.
+  reordering and leaves membership alone, dropping only the cached
+  preorders); the mirror notification on the opposite (child) side is
+  deliberately ignored so a move is never double-handled.
 * **Root hooks.**  ``Model.add_root``/``remove_root`` bypass the
   notification machinery (no feature is involved), so :class:`Model`
   calls :meth:`ModelIndex.root_added`/:meth:`root_removed` directly.
@@ -30,11 +37,20 @@ Staleness protocol — how the index stays honest against the live model:
   rebinds them, both silently — so :meth:`resolve_eid` cross-checks the
   hit (same eid, still indexed) and falls back to a repairing scan on a
   miss.  Extent membership has no such silent channel.
-* **Tracking gating.**  While dependency tracking is active
-  (``kernel._TRACKING``, raised by ``collect_reads``), the incremental
-  engine derives invalidation sets from per-element reads; answering
-  from the index would hide those reads, so all fast paths defer to the
-  legacy scans.  A counting read probe alone does not gate them.
+* **Tracking gating and extent reads.**  While dependency tracking is
+  active (``kernel._TRACKING``, raised by ``collect_reads``), the
+  incremental engine derives invalidation sets from recorded reads.
+  ``Model.instances_of`` and ``Repository.all_instances`` would hide
+  per-element reads, so they defer to the legacy scans.  A preorder
+  answer instead records one *extent read*, ``(metaclass,
+  kernel.EXTENT_KEY)``, which the engine invalidates on every
+  enter/leave transition of an instance and on every containment MOVE
+  that repositions one; so it is used whether or not tracking is on.
+  A counting read probe alone gates nothing.
+* **Hook-free walks.**  Every walk the index makes (subtree enter and
+  leave, preorders, the verify oracle) reads the containment slots
+  directly through :func:`walk` and never calls the read hook, so no
+  index bookkeeping lands in a tracked unit's read set.
 
 Membership listeners: the enter/leave transitions derived above are
 also handed to every callable in :attr:`ModelIndex.listeners` as
@@ -45,14 +61,18 @@ protocol serves both.  The subtree walk happens at notification time,
 which keeps "detach, mutate while detached, reattach" exact: the
 detached subtree leaves as it was, and re-enters as it is.
 
-``REPRO_INDEX_VERIFY=1`` cross-checks every indexed answer against the
-scan it replaced (the equivalence oracle the property tests use).
+``REPRO_INDEX_VERIFY=1`` cross-checks every indexed answer, and every
+preorder, against the scan it replaced (the equivalence oracle the
+property tests use).
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from itertools import compress
+from operator import attrgetter
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    Optional, Tuple)
 
 from .kernel import Element, MetaClass
 from .notify import ChangeKind, Notification
@@ -67,6 +87,34 @@ VERIFY_ENV = "REPRO_INDEX_VERIFY"
 
 class IndexDivergence(AssertionError):
     """An indexed answer disagreed with the containment-scan oracle."""
+
+
+_META = attrgetter("meta")
+
+
+def walk(element: Element) -> List[Element]:
+    """*element* and everything it contains, in the preorder of
+    ``[element] + list(element.all_contents())``.  The containment slots
+    are read directly, so the read hook never sees this walk."""
+    out: List[Element] = []
+    stack = [element]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        slots = node._slots
+        children: List[Element] = []
+        for feature in node.meta.containment_features():
+            value = slots.get(feature.name)
+            if value is None:
+                continue
+            if feature.many:
+                children.extend(value._items)
+            else:
+                children.append(value)
+        if children:
+            children.reverse()
+            stack.extend(children)
+    return out
 
 
 class ModelIndex:
@@ -84,6 +132,9 @@ class ModelIndex:
         self._extent: Dict[MetaClass, Dict[int, Element]] = {}
         self._ids: Dict[int, Element] = {}
         self._eids: Dict[str, Element] = {}
+        # id(root) -> (root, its preorder, each element's metaclass)
+        self._preorders: Dict[int, Tuple[Element, List[Element],
+                                         List[MetaClass]]] = {}
         #: called as ``listener(element, entered)`` on every membership
         #: transition (see the module docstring)
         self.listeners: List[Callable[[Element, bool], None]] = []
@@ -100,6 +151,7 @@ class ModelIndex:
         self._extent.clear()
         self._ids.clear()
         self._eids.clear()
+        self._preorders.clear()
         for root in self.model.roots:
             self._add_tree(root)
         self.rebuilds += 1
@@ -143,14 +195,12 @@ class ModelIndex:
                 listener(element, entered)
 
     def _add_tree(self, element: Element) -> None:
-        self._add_one(element)
-        for child in element.all_contents():
-            self._add_one(child)
+        for node in walk(element):
+            self._add_one(node)
 
     def _remove_tree(self, element: Element) -> None:
-        self._remove_one(element)
-        for child in element.all_contents():
-            self._remove_one(child)
+        for node in walk(element):
+            self._remove_one(node)
 
     # -- change intake ----------------------------------------------------
 
@@ -159,6 +209,7 @@ class ModelIndex:
         # mirror notification for the same mutation is ignored.
         if not getattr(notification.feature, "containment", False):
             return
+        self._preorders.clear()
         kind = notification.kind
         if kind is ChangeKind.ADD or kind is ChangeKind.SET:
             if isinstance(notification.new, Element):
@@ -169,9 +220,11 @@ class ModelIndex:
         # MOVE repositions within a feature: membership unchanged.
 
     def root_added(self, root: Element) -> None:
+        self._preorders.clear()
         self._add_tree(root)
 
     def root_removed(self, root: Element) -> None:
+        self._preorders.clear()
         self._remove_tree(root)
 
     # -- queries ----------------------------------------------------------
@@ -192,6 +245,40 @@ class ModelIndex:
         if os.environ.get(VERIFY_ENV) == "1":
             self._verify_instances(metaclass, exact, out)
         return out
+
+    def preorder(self, root: Element) -> List[Element]:
+        """*root* and its contents in ``all_contents`` preorder, walked
+        without the read hook and kept until the next containment change
+        in the model.  *root* must be a root of the model; the list is
+        the index's own, so callers must not mutate it."""
+        return self._preorder_entry(root)[1]
+
+    def instances_under(self, root: Element, metaclass: MetaClass,
+                        include_self: bool = True) -> List[Element]:
+        """The elements of model root *root*'s preorder that conform to
+        *metaclass* (*root* itself only with *include_self*), in
+        preorder: ``repro.mof.query.instances_of`` on a model root."""
+        _root, elements, metas = self._preorder_entry(root)
+        wanted = {metaclass, *metaclass.all_subclasses()}
+        found = list(compress(elements, map(wanted.__contains__, metas)))
+        if not include_self and found and found[0] is root:
+            del found[0]
+        return found
+
+    def _preorder_entry(self, root: Element
+                        ) -> Tuple[Element, List[Element], List[MetaClass]]:
+        entry = self._preorders.get(id(root))
+        if entry is None:
+            if not any(candidate is root for candidate in self.model.roots):
+                raise ValueError(f"{root!r} is not a root of {self.model!r}")
+            elements = walk(root)
+            entry = (root, elements, list(map(_META, elements)))
+            self._preorders[id(root)] = entry
+        elif os.environ.get(VERIFY_ENV) == "1":
+            if list(map(id, entry[1])) != list(map(id, walk(root))):
+                raise IndexDivergence(
+                    f"preorder of {root!r} diverged from a fresh walk")
+        return entry
 
     def resolve_eid(self, eid: str) -> Optional[Element]:
         """The model's element with ``_eid == eid``, or None.
@@ -218,13 +305,18 @@ class ModelIndex:
 
     # -- equivalence cross-check ------------------------------------------
 
+    def _scan(self) -> Iterator[Element]:
+        """Every element of the model, walked without the read hook (the
+        oracle's scan: checking an answer must not add to a read set)."""
+        for root in self.model.roots:
+            yield from walk(root)
+
     def _verify_instances(self, metaclass: MetaClass, exact: bool,
                           answer: List[Element]) -> None:
         if exact:
-            expected = [e for e in self.model.all_elements()
-                        if e.meta is metaclass]
+            expected = [e for e in self._scan() if e.meta is metaclass]
         else:
-            expected = [e for e in self.model.all_elements()
+            expected = [e for e in self._scan()
                         if e.meta.conforms_to(metaclass)]
         if sorted(map(id, answer)) != sorted(map(id, expected)):
             raise IndexDivergence(
@@ -236,7 +328,7 @@ class ModelIndex:
         """Compare against a full scan; return a list of discrepancies."""
         problems: List[str] = []
         scanned: Dict[int, Element] = {}
-        for element in self.model.all_elements():
+        for element in self._scan():
             scanned[id(element)] = element
         for key, element in scanned.items():
             if key not in self._ids:
@@ -255,6 +347,14 @@ class ModelIndex:
                 problems.append(
                     f"eid entry {eid!r} points at element with "
                     f"eid {element._eid!r}")
+        for root, elements, metas in self._preorders.values():
+            if not any(candidate is root for candidate in self.model.roots):
+                problems.append(f"preorder kept for a non-root: {root!r}")
+            elif list(map(id, elements)) != list(map(id, walk(root))):
+                problems.append(f"stale preorder of {root!r}")
+            if metas != list(map(_META, elements)):
+                problems.append(f"preorder metaclasses of {root!r} are "
+                                f"out of step with its elements")
         return problems
 
     def stats(self) -> Dict[str, int]:

@@ -66,6 +66,14 @@ feature reads, but checkers depend on them all the same — an incremental
 engine must re-run a check when an element it walked through is
 reparented."""
 
+EXTENT_KEY = "@extent"
+"""Pseudo-feature name under which an instance query over a model root
+is reported to the read hook, as ``(metaclass, EXTENT_KEY)``.  The
+answer comes from the model index's cached preorder, not from a walk
+(see :func:`repro.mof.query.instances_of`), so the query reads no
+containment list; an incremental engine re-runs its readers when an
+instance of the metaclass, or of a subclass, enters, leaves or moves."""
+
 _READ_HOOK = None
 
 #: Nesting depth of dependency-tracked reads, raised and lowered by

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Set, Union
 
-from .kernel import Element, MetaClass, Reference
+from . import kernel as _kernel
+from .kernel import EXTENT_KEY, Element, MetaClass, Reference
 
 
 def all_contents(element: Element, include_self: bool = False) -> Iterator[Element]:
@@ -20,9 +21,22 @@ def all_contents(element: Element, include_self: bool = False) -> Iterator[Eleme
 
 def instances_of(root: Element, metaclass: Union[MetaClass, type],
                  include_self: bool = True) -> List[Element]:
-    """All elements under *root* conforming to *metaclass*."""
+    """All elements under *root* conforming to *metaclass*, in preorder.
+
+    On a root of a :class:`~repro.mof.repository.Model` the answer is
+    filtered from the preorder the model's index keeps
+    (:meth:`~repro.mof.index.ModelIndex.instances_under`), and the read
+    hook sees one extent read, ``(metaclass, EXTENT_KEY)``, instead of a
+    read of every containment list below *root*.  Any other *root* is
+    walked.  Both give the same elements in the same order.
+    """
     if isinstance(metaclass, type):
         metaclass = metaclass._meta
+    model = root._model
+    if model is not None and root._container is None:
+        if _kernel._READ_HOOK is not None:
+            _kernel._READ_HOOK(metaclass, EXTENT_KEY)
+        return model.index().instances_under(root, metaclass, include_self)
     return [e for e in all_contents(root, include_self=include_self)
             if e.meta.conforms_to(metaclass)]
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..mof.kernel import Element, FeatureList, MetaClass, MetaPackage
+from ..mof.query import instances_of
 from ..mof.repository import Model, Repository
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -105,8 +106,9 @@ class Environment:
             self._column_scope = scope.column_values
         else:
             def lookup(metaclass: MetaClass) -> List[Element]:
-                return [e for e in _scope_elements(scope)
-                        if e.meta.conforms_to(metaclass)]
+                if not isinstance(scope, Element):
+                    raise OclTypeError(f"invalid instance scope {scope!r}")
+                return instances_of(scope, metaclass)
             self._instance_scope = lookup
             self._column_scope = _element_column_scope(scope)
 

@@ -18,20 +18,25 @@ Concurrency model
   no conflicting edit is ever silently dropped.
 * **Pessimistic at the kernel level.**  The MOF kernel and the
   transaction journal are deliberately single-writer (the journal taps
-  process-wide hooks), so the server applies edit transactions under one
-  global edit lock, and serializes checks against edits per repository
-  with a per-repo lock.  Readers of different repositories never contend
-  with each other.
+  process-wide hooks), and so is dependency tracking: the kernel's read
+  hook and tracking depth are process-wide, so a check revalidating one
+  repository's view would record, or lose, reads another thread makes
+  in another repository.  Every verb that reads or writes a model
+  (``load``, ``generate``, ``check``, ``edit-txn``, ``watch``,
+  ``stats``) therefore runs under one global edit lock, taken after the
+  repository's own lock, which orders a repository's checks and edits
+  by epoch.  Checks of different repositories contend for that lock;
+  ``ping`` and ``close`` do not take it.
 * **One shared incremental view per (repository, family selection).**
   ``check`` rides the repository's view: one
   :class:`~repro.incremental.IncrementalEngine` per selection, built by
   ``Session.watch`` on first use and kept for the repository's
   lifetime.  ``check``, the ``watch`` fan-out and ``stats`` read it
-  under the repository lock, so a committed epoch is revalidated once
-  per selection, not once per connection, and ``close`` tears down
-  only the connection's watches.  Edits to a *different* repository
-  never invalidate a view; committed edits to the same one mark the
-  precisely affected units dirty.
+  under the repository lock and the edit lock, so a committed epoch is
+  revalidated once per selection, not once per connection, and
+  ``close`` tears down only the connection's watches.  Edits to a
+  *different* repository never invalidate a view; committed edits to
+  the same one mark the precisely affected units dirty.
 
 Backpressure and failure isolation surface through ``repro.obs``:
 ``server.requests`` (by verb/outcome), ``server.conflicts``,
@@ -282,7 +287,9 @@ class ModelServer:
         self.max_frame = max_frame or MAX_FRAME_BYTES
         self.repos: Dict[str, RepoState] = {}
         self._lock = threading.RLock()          # repo map + connection set
-        self._edit_lock = threading.Lock()      # kernel/journal single-writer
+        # kernel, journal and read hook are single-threaded: held by every
+        # verb that touches a model, after the repository lock
+        self._edit_lock = threading.Lock()
         self._connections: Dict[int, "ServerConnection"] = {}
         self._conn_counter = itertools.count(1)
         self._packages = packages
@@ -419,9 +426,10 @@ class ModelServer:
     def stats_document(self) -> Dict[str, Any]:
         from ..session import runtime_stats
         with self._lock:
-            repos = {name: state.summary()
-                     for name, state in sorted(self.repos.items())}
+            states = sorted(self.repos.items())
             connections = len(self._connections)
+        with self._edit_lock:           # summaries walk the models
+            repos = {name: state.summary() for name, state in states}
         document = runtime_stats()
         document["server"] = {
             "protocol": PROTOCOL_VERSION,
@@ -602,23 +610,26 @@ class ServerConnection:
         from ..cli import load_model
         name = self._require(params, "repo", str)
         path = self._require(params, "path", str)
-        try:
-            session = Session(load_model(path))
-        except FileNotFoundError as exc:
-            raise ServerError("bad-params", f"cannot load {path}: {exc}")
-        state = self.server.attach(name, session)
-        return state.summary()
+        with self.server._edit_lock:
+            try:
+                session = Session(load_model(path))
+            except FileNotFoundError as exc:
+                raise ServerError("bad-params",
+                                  f"cannot load {path}: {exc}")
+            state = self.server.attach(name, session)
+            return state.summary()
 
     def _verb_generate(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Host a freshly generated seeded corpus as a new repository."""
         name = params.get("repo") or f"gen{next(_repo_counter)}"
-        session = Session.generate(
-            params.get("package", "demo"),
-            size=int(params.get("size", 1000)),
-            seed=int(params.get("seed", 0)),
-            repair=bool(params.get("repair", True)))
-        state = self.server.attach(name, session)
-        summary = state.summary()
+        with self.server._edit_lock:
+            session = Session.generate(
+                params.get("package", "demo"),
+                size=int(params.get("size", 1000)),
+                seed=int(params.get("seed", 0)),
+                repair=bool(params.get("repair", True)))
+            state = self.server.attach(name, session)
+            summary = state.summary()
         if session.generation is not None \
                 and session.generation.repair is not None:
             summary["repair_converged"] = \
@@ -630,7 +641,7 @@ class ServerConnection:
         state = self._repo_param(params)
         selection = state.selection(params.get("families"))
         severity = _severity_param(params)
-        with state.lock:
+        with state.lock, self.server._edit_lock:
             self.check_deadline()     # we may have queued behind edits
             if params.get("incremental", True):
                 result = state.view(selection).check_result()
@@ -662,12 +673,12 @@ class ServerConnection:
                      "ops": ops})
             with self.server._edit_lock:
                 applied, touched = self._apply_ops(state, ops)
-            state.epoch += 1
-            state.edits_applied += 1
-            epoch = state.epoch
-            if state.wal is not None:
-                state.wal.maybe_compact(state.model, epoch)
-            self._notify_watchers(state, touched)
+                state.epoch += 1
+                state.edits_applied += 1
+                epoch = state.epoch
+                if state.wal is not None:
+                    state.wal.maybe_compact(state.model, epoch)
+                self._notify_watchers(state, touched)
         return {"repo": state.name, "epoch": epoch, "applied": applied,
                 "touched": touched}
 
@@ -710,9 +721,10 @@ class ServerConnection:
                          touched: List[str]) -> None:
         """Push a diagnostics event to every watcher of *state*.
 
-        Runs with the repo lock held (we are still inside the committing
-        request), so each watched view revalidates against exactly the
-        committed epoch, once however many connections watch it.
+        Runs with the repo lock and the edit lock held (we are still
+        inside the committing request), so each watched view revalidates
+        against exactly the committed epoch, once however many
+        connections watch it.
         """
         for conn in list(state.watchers.values()):
             spec = conn.watching.get(state.name)
@@ -740,7 +752,7 @@ class ServerConnection:
         spec = {"families": state.selection(params.get("families")),
                 "severity": _severity_param(params),
                 "full": bool(params.get("full", False))}
-        with state.lock:
+        with state.lock, self.server._edit_lock:
             result = state.view(spec["families"]).check_result()
             self.watching[state.name] = spec
             state.watchers[self.id] = self
@@ -754,7 +766,7 @@ class ServerConnection:
         default-selection view's engine/quarantine state, once built."""
         if "repo" in params:
             state = self._repo_param(params)
-            with state.lock:
+            with state.lock, self.server._edit_lock:
                 document = state.session.stats()
                 document["server"] = state.summary()
                 view = state.views.get(state.selection(None))

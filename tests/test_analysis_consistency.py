@@ -629,6 +629,65 @@ def test_single_edit_reruns_few_units():
     engine.detach()
 
 
+def _xd005_key(engine):
+    (key,) = [key for key in engine._units
+              if key[:2] == ("lint", "class-unsatisfiable")]
+    return key
+
+
+def test_xd005_reads_extents_not_the_tree(monkeypatch):
+    """XD005 takes classes and associations from the model index, so
+    its root unit reads two extents and the root's container, and a
+    create or delete of an unrelated element does not rerun it."""
+    session = Session.generate("demo", size=2000, seed=0, repair=False)
+    view = session.watch()
+    assert len(view._deps.reads(_xd005_key(view))) <= 3
+    from repro.incremental.engine import LintUnit
+    runs = []
+    run = LintUnit.run
+
+    def counting(unit):
+        runs.append(unit.rule.name)
+        return run(unit)
+
+    monkeypatch.setattr(LintUnit, "run", counting)
+    library = session.model.roots[0]
+    shelf = library.shelves[0]
+    book = shelf.meta.feature("books").target.instantiate(name="fresh")
+    shelf.books.append(book)
+    view.revalidate()
+    assert view.stats.last_rerun > 0
+    book.delete()
+    view.revalidate()
+    assert view.stats.last_rerun > 0
+    assert "class-unsatisfiable" not in runs
+    assert view.verify() == []
+    view.detach()
+
+
+def test_xd005_reruns_when_an_unsatisfiable_pair_is_created():
+    f, _ = bank_model()
+    engine = IncrementalEngine(f.model, consistency=True)
+    engine.revalidate()
+    key = _xd005_key(engine)
+
+    def consistency():
+        found = engine.revalidate()
+        assert report_signature(engine.report_by_kind()["consistency"]) \
+            == report_signature(consistency_lint(f.model))
+        return codes(found, "XD005")
+
+    assert consistency() == []
+    cell = f.clazz("Cell")
+    assert consistency() == []
+    f.associate(cell, cell, name="succ", end_b="next", end_a="prev",
+                b_lower=2, b_upper=2, a_lower=1, a_upper=1)
+    (finding,) = consistency()
+    assert "Cell" in finding.message
+    assert engine._results[key] == (finding,)
+    engine.detach()
+
+
 def test_report_by_kind_splits_families():
     f, _ = bank_model(defects=("unresolved",))
     engine = IncrementalEngine(f.model, consistency=True)

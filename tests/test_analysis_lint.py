@@ -327,6 +327,19 @@ class TestConfig:
             registry.register(
                 LintRule("X001", "two", "model", lambda t, c: []))
 
+    def test_decorator_fills_an_empty_custom_registry(self):
+        # an empty registry is falsy (it has a length); it must still be
+        # the one the rule lands in, not the default
+        from repro.analysis.registry import RuleRegistry, lint_rule
+        registry = RuleRegistry()
+
+        @lint_rule("X002", "custom-only", "model", registry=registry)
+        def custom_only(target, ctx):
+            return []
+
+        assert "custom-only" in registry
+        assert "custom-only" not in DEFAULT_REGISTRY
+
 
 # ---------------------------------------------------------------------------
 # Zero false positives on every bundled example model

@@ -13,13 +13,16 @@ from __future__ import annotations
 import pytest
 
 from repro import faults
+from repro.analysis.registry import RuleRegistry, lint_rule
 from repro.generate import demo_generator, demo_package
 from repro.incremental import IncrementalEngine, report_signature
-from repro.mof import Model
+from repro.mof import Model, instances_of
 from repro.mof.txn import transaction
 from repro.mof.validate import ValidationReport, validate_tree
 from repro.ocl.invariants import ConstraintSet
 from repro.session import Session
+from repro.uml.classifiers import Clazz
+from repro.uml.factory import ModelFactory
 
 
 def classifier(name):
@@ -212,3 +215,73 @@ def test_idle_view_keeps_no_element_created_and_deleted_since():
         session.check(["structural"]).diagnostics))
     default.detach()
     idle.detach()
+
+
+def test_instance_order_follows_a_containment_move():
+    """A move changes no membership but does change instance order: a
+    rule that reports the first class must see the new first class."""
+    registry = RuleRegistry()
+
+    @lint_rule("T001", "first-class", "model", registry=registry)
+    def first_class(root, ctx):
+        classes = instances_of(root, Clazz)
+        if classes:
+            yield ctx.diag(classes[0], f"first class {classes[0].name}")
+
+    factory = ModelFactory("ordered")
+    factory.clazz("A")
+    b = factory.clazz("B")
+    model = Model("urn:ordered")
+    model.add_root(factory.model)
+    engine = IncrementalEngine(model, structural=False, invariants=False,
+                               wellformed=False, registry=registry)
+
+    def messages():
+        return [d.message for d in engine.revalidate().diagnostics]
+
+    assert messages() == ["first class A"]
+    factory.model.packaged_elements.move(0, b)
+    assert messages() == ["first class B"]
+    assert engine.verify() == []
+    engine.detach()
+
+
+def test_all_instances_invariant_reruns_on_its_own_extent(library,
+                                                          monkeypatch):
+    """An invariant over ``GAuthor.allInstances()`` reads the GAuthor
+    extent, not the tree: creating a book leaves it cached, creating an
+    author reruns it, and the report equals the full pass each time."""
+    model, root, engine = library
+    engine.detach()
+    constraints = ConstraintSet("staffing")
+    staffing = constraints.add(
+        classifier("GLibrary"), "small-staff",
+        f"GAuthor.allInstances()->size() <= {len(root.staff)}")
+    runs = []
+    holds = staffing.holds
+
+    def counting(element):
+        runs.append(element)
+        return holds(element)
+
+    monkeypatch.setattr(staffing, "holds", counting)
+    engine = IncrementalEngine(model, wellformed=False, lint=False,
+                               constraint_sets=[constraints])
+
+    def reruns():
+        # the engine's calls only; the oracle evaluates it once more
+        runs.clear()
+        engine.revalidate()
+        found = list(runs)
+        assert_consistent(engine)
+        return found
+
+    assert reruns() == [root]
+    shelf = shelves_with_books(root, 1)[0]
+    shelf.books.append(classifier("GBook")(name="unrelated", pages=3))
+    assert reruns() == []
+    root.staff.append(classifier("GAuthor")(name="hired"))
+    assert reruns() == [root]
+    assert any("small-staff" in d.message
+               for d in engine.report().diagnostics)
+    engine.detach()

@@ -12,8 +12,10 @@ import pytest
 
 from repro.generate import EditFuzzer, demo_generator, demo_package
 from repro.mof import (
+    EXTENT_KEY,
     M_0N,
     MInteger,
+    MetaClass,
     Model,
     Repository,
     RepositoryError,
@@ -21,7 +23,9 @@ from repro.mof import (
     add_reference,
     define_class,
     define_package,
+    instances_of,
     set_read_hook,
+    transaction,
 )
 from repro.incremental.tracking import collect_reads
 
@@ -117,6 +121,11 @@ class TestIndexMaintenance:
         assert sorted(map(id, probed)) == sorted(map(id, indexed))
         assert counted == []
 
+    def test_read_hook_gates_to_scan_under_index_verify(self, monkeypatch):
+        # the oracle's own scan must not reach the installed hook either
+        monkeypatch.setenv("REPRO_INDEX_VERIFY", "1")
+        self.test_read_hook_gates_to_scan()
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_columns_survive_fuzzed_edits(self, seed):
         # same drive as the index fuzz, but with the columnar store
@@ -183,6 +192,89 @@ class TestIndexMaintenance:
         assert any("missing from index" in p for p in index.verify())
         index.rebuild()
         assert index.verify() == []
+
+
+def walked_instances(root, metaclass, include_self=True):
+    """The reference: the containment walk ``instances_of`` made before
+    it read the index's preorder."""
+    elements = [root] if include_self else []
+    elements += root.all_contents()
+    return [e for e in elements if e.meta.conforms_to(metaclass)]
+
+
+def assert_instances_match_walk(model, root):
+    walked = [root] + list(root.all_contents())
+    assert list(map(id, model.index().preorder(root))) == \
+        list(map(id, walked))
+    metaclasses = [c for c in demo_package().classifiers.values()
+                   if isinstance(c, MetaClass)]
+    for metaclass in metaclasses:
+        for include_self in (True, False):
+            answer = instances_of(root, metaclass, include_self)
+            expected = walked_instances(root, metaclass, include_self)
+            assert list(map(id, answer)) == list(map(id, expected)), (
+                metaclass.name, include_self)
+    assert model.index().verify() == []
+
+
+class TestPreorderInstances:
+    """``instances_of`` on a model root filters the index's cached
+    preorder and records one extent read; it must give the walk's
+    answer, order included, after any structural edit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_structural_edits_keep_walk_order(self, seed):
+        generator = demo_generator(seed)
+        root = generator.generate(40)
+        model = Model(f"urn:preorder{seed}")
+        model.add_root(root)
+        fuzzer = EditFuzzer(root, seed=seed, generator=generator)
+        assert_instances_match_walk(model, root)
+        for step in range(48):
+            op = ("move", "reparent", "create", "delete")[step % 4]
+            getattr(fuzzer, f"_op_{op}")()
+            assert_instances_match_walk(model, root)
+
+    def test_aborted_transaction_restores_walk_order(self):
+        generator = demo_generator(8)
+        root = generator.generate(40)
+        model = Model("urn:preorder-abort")
+        model.add_root(root)
+        fuzzer = EditFuzzer(root, seed=8, generator=generator,
+                            profile="destructive")
+
+        class Abort(RuntimeError):
+            pass
+
+        for _round in range(4):
+            with pytest.raises(Abort):
+                with transaction():
+                    for _edit in range(10):
+                        fuzzer.random_edit()
+                        assert_instances_match_walk(model, root)
+                    raise Abort
+            assert_instances_match_walk(model, root)
+
+    def test_model_root_records_one_extent_read(self):
+        root = demo_generator(4).generate(25)
+        model = Model("urn:extent-read")
+        model.add_root(root)
+        book = demo_package().classifier("GBook")
+        reads = set()
+        with collect_reads(reads):
+            found = instances_of(root, book)
+        assert found == walked_instances(root, book)
+        assert reads == {(book, EXTENT_KEY)}
+
+    def test_detached_root_records_its_walk(self):
+        root = demo_generator(4).generate(25)
+        book = demo_package().classifier("GBook")
+        reads = set()
+        with collect_reads(reads):
+            found = instances_of(root, book)
+        assert found == walked_instances(root, book)
+        assert (root, "shelves") in reads
+        assert not any(name == EXTENT_KEY for _obj, name in reads)
 
 
 class TestRepositoryResolve:

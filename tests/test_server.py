@@ -582,6 +582,54 @@ class TestIsolation:
             reader.close()
             editor.close()
 
+    def test_concurrent_checks_of_two_repositories(self, server):
+        """Two connections edit and check two repositories at once.  The
+        kernel's read hook is process-wide, so a check that overlapped
+        the other repository's work would record its elements as
+        external reads, or lose its own hook."""
+        states = [host_corpus(server, name, size=600, seed=seed)
+                  for name, seed in (("left", 5), ("right", 6))]
+        rounds = 40
+        barrier = threading.Barrier(len(states))
+        errors = []
+
+        def worker(state):
+            books = book_eids(state, rounds)
+            shelf = next(element.eid for element in state.model.all_elements()
+                         if element.meta.name == "GShelf")
+            try:
+                with InProcessClient(server) as client:
+                    barrier.wait(timeout=30)
+                    for round_ in range(rounds):
+                        client.request(
+                            "edit-txn", repo=state.name, base_epoch=round_,
+                            ops=[pages_op(books[round_ % len(books)],
+                                          round_ - 5),
+                                 {"op": "create", "metaclass": "GBook",
+                                  "parent": shelf, "feature": "books",
+                                  "attrs": {"name": f"b{round_}"}}])
+                        client.request("check", repo=state.name)
+            except Exception as exc:  # noqa: BLE001 - collected for assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(state,))
+                   for state in states]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for state, other in (states, reversed(states)):
+            view = state.views[state.selection(None)]
+            others = {id(element) for element in other.model.all_elements()}
+            assert not others & set(view._external)
+            with InProcessClient(server) as client:
+                served = client.request("check", repo=state.name)
+            assert served["epoch"] == rounds
+            fresh = state.session.check().to_json()
+            assert diagnostic_multiset(served) == diagnostic_multiset(fresh)
+
 
 # ---------------------------------------------------------------------------
 # concurrency properties (generated models, epoch retry)
