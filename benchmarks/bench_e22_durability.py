@@ -15,7 +15,10 @@ bump.  The promises to measure:
   hundreds of records, ending byte-identical to the pre-crash state;
 * **retry tail latency** — a ``RetryPolicy`` client facing 5% injected
   transient network faults must converge on every request with a
-  bounded p99 (backoff sleeps, not timeouts, dominate the tail).
+  bounded p99 (backoff sleeps, not timeouts, dominate the tail);
+* **compaction cost** (printed, not gated) — one snapshot + log rewrite
+  at each corpus size: median wall time, traced Python allocation peak
+  and snapshot bytes.
 
 Set ``REPRO_BENCH_QUICK=1`` (CI smoke) to run reduced corpora and
 round counts.
@@ -23,12 +26,15 @@ round counts.
 
 import os
 import shutil
+import statistics
 import tempfile
 import time
+import tracemalloc
 
 from repro import faults
 from repro.server import (InProcessClient, ModelServer, RemoteError,
                           RetryPolicy, TcpClient, TransportError, serve_tcp)
+from repro.server.durability import read_records
 from repro.session import Session, canonical_check_document
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
@@ -36,6 +42,7 @@ CORPUS_SIZE = 2_000 if QUICK else 20_000
 WORKLOAD_ROUNDS = 40 if QUICK else 120
 LOG_LENGTHS = [20, 80] if QUICK else [50, 200, 800]
 RETRY_REQUESTS = 40 if QUICK else 200
+COMPACT_SIZES = [2_000] if QUICK else [10_000, 20_000]
 # quick corpora are small enough that a ~0.2 ms fsync is a visible
 # fraction of each round; the 10% acceptance target is for full size
 OVERHEAD_CEILING = 0.50 if QUICK else 0.10
@@ -198,3 +205,34 @@ def test_e22_retry_tail_latency_under_faults():
             f"retry policy failed to converge: {error}") from error
     finally:
         tcp.shutdown()
+
+
+def test_e22_compaction_cost():
+    """Print only: one WAL compaction (snapshot written and sealed, log
+    rewritten to its origin record) over the unrepaired demo corpus."""
+    print("\nE22: compaction cost (median of 3 compactions, traced peak "
+          "of a 4th)")
+    print(f"{'elements':>9} {'compact ms':>11} {'peak MiB':>9} "
+          f"{'snapshot B':>11}")
+    for size in COMPACT_SIZES:
+        wal_dir = tempfile.mkdtemp(prefix="repro-bench-compact-")
+        server = ModelServer(wal_dir=wal_dir)
+        session = Session.generate("demo", size=size, seed=0, repair=False)
+        server.attach("main", session)
+        wal = server.repo("main").wal
+        walls = []
+        for epoch in range(1, 4):
+            started = time.perf_counter()
+            wal.compact(session.model, epoch)
+            walls.append(time.perf_counter() - started)
+        tracemalloc.start()
+        try:
+            wal.compact(session.model, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        snapshot = wal.snapshot_path(read_records(wal.path)[0][0]["snapshot"])
+        print(f"{size:>9,} {statistics.median(walls) * 1e3:>11.1f} "
+              f"{peak / 2 ** 20:>9.1f} {os.path.getsize(snapshot):>11,}")
+        server.shutdown()
+        shutil.rmtree(wal_dir, ignore_errors=True)

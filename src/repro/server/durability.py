@@ -38,7 +38,14 @@ transactions the current model is snapshotted to
 ``<repo>.snapshot.<epoch>.<fmt>``, the log is atomically rewritten to a
 single origin record naming it, and older snapshot generations are
 removed only afterwards — a crash between the two steps leaves the old
-log still pointing at the old, still-present snapshot.
+log still pointing at the old, still-present snapshot.  Snapshots are
+sealed JSON (:mod:`repro.xmi.persist`): the canonical compact dump of
+the model document plus a spliced digest, so a compaction encodes the
+model once.  Compaction runs after the triggering edit-txn's record is
+durable, so a failed compaction (disk full, EIO, an injected ``io.*``
+fault) does not fail that edit: it is acknowledged and watchers are
+notified, the failure is counted (``server.wal.compact_failures``,
+:meth:`WriteAheadLog.stats`), and the next edit-txn retries.
 
 Fault sites: ``wal.append`` (fires before the bytes are written) and
 ``wal.replay`` (fires before each recovered transaction re-applies).
@@ -168,6 +175,8 @@ class WriteAheadLog:
         self.records_since_snapshot = 0
         self.appended = 0
         self.compactions = 0
+        self.compact_failures = 0
+        self.compact_error: Optional[str] = None
         self.broken: Optional[str] = None
         self._handle = None
 
@@ -271,10 +280,27 @@ class WriteAheadLog:
             help="bytes appended to write-ahead logs").inc(len(line))
 
     def maybe_compact(self, model: Any, epoch: int) -> bool:
-        """Snapshot + truncate once the log accumulates enough records."""
+        """Snapshot + truncate once the log accumulates enough records.
+
+        Runs after the edit-txn's record is durable, so a failed
+        compaction must not fail the edit: it is counted and recorded,
+        ``records_since_snapshot`` stays put, and the next edit-txn
+        retries.  Every failure window leaves the old log pointing at
+        its old, still-present snapshot (see :meth:`compact`).
+        """
         if self.records_since_snapshot < self.compact_every:
             return False
-        self.compact(model, epoch)
+        try:
+            self.compact(model, epoch)
+        except Exception as exc:  # noqa: BLE001 - the edit is committed
+            self.compact_failures += 1
+            self.compact_error = f"{type(exc).__name__}: {exc}"
+            _metrics.REGISTRY.counter(
+                "server.wal.compact_failures",
+                help="compactions that failed after a committed edit-txn, "
+                     "by repo",
+                repo=self.repo).inc()
+            return False
         return True
 
     def compact(self, model: Any, epoch: int) -> None:
@@ -317,6 +343,8 @@ class WriteAheadLog:
             "appended": self.appended,
             "since_snapshot": self.records_since_snapshot,
             "compactions": self.compactions,
+            "compact_failures": self.compact_failures,
+            "compact_error": self.compact_error,
             "broken": self.broken,
         }
 

@@ -4,7 +4,7 @@ a shape convenient for web tooling and diffing."""
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from ..mof.errors import RepositoryError
 from ..mof.kernel import Attribute, Element, MetaPackage, Reference
@@ -75,9 +75,13 @@ def _stereotype_dicts(element: Element) -> List[Dict[str, Any]]:
     return out
 
 
-def write_json(source: Union[Model, Element], *, indent: int = 2,
-               uri: str = "urn:model", name: str = "model") -> str:
-    """Serialize a model or a single root element to JSON text."""
+def encode_json(source: Union[Model, Element],
+                encode: Callable[[Dict[str, Any]], str], *,
+                uri: str = "urn:model", name: str = "model") -> str:
+    """Build *source*'s JSON document once and return
+    ``encode(document)``, inside an ``xmi.write`` span while tracing is
+    on.  :func:`write_json` and the sealed saves of
+    :mod:`repro.xmi.persist` differ only in *encode*."""
     if isinstance(source, Model):
         roots, uri, name = list(source.roots), source.uri, source.name
     else:
@@ -90,7 +94,7 @@ def write_json(source: Union[Model, Element], *, indent: int = 2,
             "version": "1.0",
             "roots": [to_dict(root, ids) for root in roots],
         }
-        return json.dumps(document, indent=indent)
+        return encode(document)
 
     if _trace.ON:
         with _trace.span("xmi.write", format="json") as sp:
@@ -98,6 +102,14 @@ def write_json(source: Union[Model, Element], *, indent: int = 2,
         _observe_io(sp, "xmi.write", "json", roots, len(text))
         return text
     return _build()
+
+
+def write_json(source: Union[Model, Element], *, indent: int = 2,
+               uri: str = "urn:model", name: str = "model") -> str:
+    """Serialize a model or a single root element to JSON text."""
+    return encode_json(
+        source, lambda document: json.dumps(document, indent=indent),
+        uri=uri, name=name)
 
 
 class JsonReader:

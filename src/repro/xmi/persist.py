@@ -19,6 +19,13 @@ file unreadable without a recovery path*:
   path if one exists — instead of returning a silently wrong model on
   truncated or garbled input.
 
+Sealed JSON is the document's canonical form (sorted keys, no
+whitespace), built once and encoded once by the C encoder, with the
+``"sha256"`` key of that exact text spliced in before the closing
+brace.  The loader parses the file, drops the key and re-dumps it
+canonically, so any key order or indentation verifies — files sealed
+pretty-printed (``indent=2``) by earlier releases still load.
+
 Fault-injection probes (``io.write``, ``io.write.partial``,
 ``io.replace``) cover the three crash windows; the chaos suite drives
 them to show interrupted saves always leave a loadable state behind.
@@ -37,7 +44,7 @@ from .. import faults as _faults
 from ..mof.errors import MofError
 from ..mof.kernel import Element, MetaPackage
 from ..mof.repository import Model, Repository
-from .jsonio import read_json, write_json
+from .jsonio import encode_json, read_json
 from .reader import read_xml
 from .writer import write_xml
 
@@ -113,10 +120,12 @@ def _canonical_json(document: dict) -> str:
     return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
-def _seal_json(payload: str, indent: int = 2) -> str:
-    document = json.loads(payload)
-    document[_DIGEST_KEY] = _digest(_canonical_json(document))
-    return json.dumps(document, indent=indent)
+def _seal_json(document: dict) -> str:
+    # one C-encoded canonical dump, hashed as is; the digest key goes in
+    # before the closing brace, so the loader's canonical re-dump
+    # (without it) reproduces exactly the hashed text
+    payload = _canonical_json(document)
+    return f'{payload[:-1]},"{_DIGEST_KEY}":"{_digest(payload)}"}}'
 
 
 def _check_json(text: str, path: str,
@@ -208,7 +217,7 @@ def serialize_model(source: Union[Model, Element], *,
     the output round-trips through :func:`load_model` either way.
     """
     if format == "json":
-        return _seal_json(write_json(source))
+        return encode_json(source, _seal_json)
     if format in ("xmi", "xml"):
         return _seal_xml(write_xml(source))
     raise ValueError(f"unknown serialization format {format!r}; "

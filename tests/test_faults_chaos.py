@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import collections
 import os
+import shutil
 
 import pytest
 
@@ -356,6 +357,60 @@ def test_wal_append_chaos(seed, tmp_path):
     assert again.epoch == 12
     assert canonical_check_document(
         again.session.check().to_json()) == live
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_wal_compaction_chaos(seed, tmp_path):
+    """``io.*`` faults inside compaction never fail a committed edit-txn:
+    every one is acknowledged, a copy of the WAL directory taken after
+    each failed compaction recovers the live document at that epoch, and
+    a final clean compaction leaves one snapshot generation and no temp
+    file."""
+    from repro.server import InProcessClient, ModelServer
+    from repro.server.durability import SNAPSHOT_MARKER
+    from repro.session import canonical_check_document
+
+    wal_dir = tmp_path / "wal"
+    server = ModelServer(wal_dir=str(wal_dir), wal_compact_every=2)
+    state, eids = _server_corpus(server, seed, size=40)
+    plan = faults.FaultPlan(seed=_plan_seed(seed * 29), rate=0.2,
+                            sites=["io.write", "io.write.partial",
+                                   "io.replace"])
+    failures = 0
+    with InProcessClient(server) as client:
+        def edit(i):
+            result = client.request(
+                "edit-txn", repo="main", base_epoch=i,
+                ops=[{"op": "set", "element": eids[i % len(eids)],
+                      "feature": "name", "value": f"compact{seed}-{i}"}])
+            assert result["epoch"] == i + 1
+
+        for i in range(20):
+            with faults.injected(plan):
+                edit(i)
+            if state.wal.compact_failures == failures:
+                continue
+            failures = state.wal.compact_failures
+            live = canonical_check_document(
+                state.session.check().to_json())
+            copy = tmp_path / f"after{i}"
+            shutil.copytree(str(wal_dir), str(copy))
+            recovered = ModelServer(wal_dir=str(copy))
+            again = recovered.repo("main")
+            assert again.epoch == i + 1
+            assert canonical_check_document(
+                again.session.check().to_json()) == live
+            recovered.shutdown()
+        compactions = state.wal.compactions
+        epoch = 20
+        while state.wal.compactions == compactions:
+            edit(epoch)
+            epoch += 1
+    count = _tally(plan)
+    assert count >= 1 and failures >= 1
+    names = os.listdir(str(wal_dir))
+    assert len([n for n in names if SNAPSHOT_MARKER in n]) == 1
+    assert not [n for n in names if ".tmp." in n]
 
 
 def test_wal_replay_chaos(tmp_path):

@@ -11,6 +11,8 @@ they exercise the identical code path a chaos run does.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -76,6 +78,51 @@ class TestRoundtrip:
         json_path.write_text(write_json(model), encoding="utf-8")
         assert roundtrip_identical(model, load_model(xml_path, [TEST_PKG]))
         assert roundtrip_identical(model, load_model(json_path, [TEST_PKG]))
+
+    def test_sealed_json_is_the_canonical_dump_plus_its_digest(
+            self, model, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        text = path.read_text(encoding="utf-8")
+        document = json.loads(text)
+        digest = document.pop("sha256")
+        canonical = json.dumps(document, sort_keys=True,
+                               separators=(",", ":"))
+        assert text == f'{canonical[:-1]},"sha256":"{digest}"}}'
+        assert digest == hashlib.sha256(
+            canonical.encode("utf-8")).hexdigest()
+
+    def test_pretty_printed_sealed_json_still_loads(self, model, tmp_path):
+        # the form earlier releases sealed: indent=2, digest key last
+        document = json.loads(write_json(model))
+        document["sha256"] = hashlib.sha256(json.dumps(
+            document, sort_keys=True, separators=(",", ":"))
+            .encode("utf-8")).hexdigest()
+        pretty = json.dumps(document, indent=2)
+        path = tmp_path / "old.json"
+        path.write_text(pretty, encoding="utf-8")
+        assert roundtrip_identical(model, load_model(path, [TEST_PKG]))
+        # ... and its digest is still verified
+        path.write_text(pretty.replace('"a"', '"zz"', 1), encoding="utf-8")
+        with pytest.raises(CorruptModelError, match="digest"):
+            load_model(path, [TEST_PKG])
+
+    def test_sealed_json_save_emits_one_xmi_write_span(self, model,
+                                                       tmp_path):
+        from repro import obs
+        sink = obs.MemorySink()
+        obs.enable(sink)
+        try:
+            save_model(model, tmp_path / "m.json")
+        finally:
+            obs.disable()
+            obs.remove_sink(sink)
+            obs.REGISTRY.reset()
+        spans = [span for span in sink.roots if span.name == "xmi.write"]
+        assert len(spans) == 1
+        assert spans[0].tags["format"] == "json"
+        assert spans[0].tags["chars"] == len(
+            (tmp_path / "m.json").read_text(encoding="utf-8"))
 
     def test_repository_registration(self, model, tmp_path):
         from repro.mof.repository import Repository

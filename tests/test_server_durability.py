@@ -10,6 +10,7 @@ acknowledged prefix.  fsync-before-ack means those are the only states
 a real ``kill -9`` can leave behind.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -217,7 +218,47 @@ class TestRecovery:
         server, state = seeded_server(tmp_path)
         summary = state.summary()
         assert summary["wal"]["appended"] == 4
+        assert summary["wal"]["compact_failures"] == 0
         assert summary["wal"]["broken"] is None
+
+    def test_pretty_printed_snapshot_recovers(self, tmp_path):
+        """A snapshot sealed in the pretty-printed form earlier releases
+        wrote (``indent=2``, digest key last) still recovers."""
+        from repro.cli import load_model
+        from repro.xmi import write_json
+
+        server, state = seeded_server(tmp_path)
+        live = canonical_check_document(state.session.check().to_json())
+        server.shutdown()
+        origin = durability.read_records(state.wal.path)[0][0]
+        snapshot = os.path.join(str(tmp_path), origin["snapshot"])
+        document = json.loads(write_json(load_model(snapshot)))
+        document["sha256"] = hashlib.sha256(json.dumps(
+            document, sort_keys=True, separators=(",", ":"))
+            .encode("utf-8")).hexdigest()
+        with open(snapshot, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(document, indent=2))
+        recovered = ModelServer(wal_dir=str(tmp_path)).repo("main")
+        assert recovered.epoch == 4
+        assert canonical_check_document(
+            recovered.session.check().to_json()) == live
+
+    def test_compaction_traced_peak_is_bounded(self, tmp_path):
+        """The snapshot is built once and dumped once, compactly: on a
+        2,000-element repository compaction stays under 5 MiB of
+        Python allocations."""
+        import tracemalloc
+
+        server = ModelServer(wal_dir=str(tmp_path))
+        state = host_corpus(server, size=2_000, seed=0)
+        tracemalloc.start()
+        try:
+            state.wal.compact(state.model, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.wal.compactions == 1
+        assert peak <= 5 * 2 ** 20, f"compaction peaked at {peak:,} B"
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +382,51 @@ class TestWalFaults:
         st = recovered.repo("main")
         assert st.epoch == 1
         assert st.model.index().resolve_eid(eid).eget("name") == "Kept"
+
+    def test_failed_compaction_still_acknowledges_the_edit(self,
+                                                           tmp_path):
+        """Compaction runs after the record is durable: its failure is
+        counted, the edit is acknowledged and watched, and the next
+        edit-txn compacts."""
+        wal_dir = tmp_path / "wal"
+        server = ModelServer(wal_dir=str(wal_dir), wal_compact_every=2)
+        state = host_corpus(server)
+        eids = named_eids(state, limit=3)
+        with InProcessClient(server) as editor, \
+                InProcessClient(server) as watcher:
+            watcher.request("watch", repo="main")
+            editor.request("edit-txn", repo="main", base_epoch=0,
+                           ops=[rename_op(eids[0], "Compact0")])
+            watcher.drain_events()
+            plan = faults.FaultPlan(seed=0, at={"io.write": [1]})
+            with faults.injected(plan):
+                result = editor.request(
+                    "edit-txn", repo="main", base_epoch=1,
+                    ops=[rename_op(eids[1], "Compact1")])
+            assert plan.fault_count == 1
+            assert result["epoch"] == 2 and state.epoch == 2
+            events = watcher.drain_events()
+            assert [event["epoch"] for event in events] == [2]
+            stats = state.wal.stats()
+            assert stats["compactions"] == 0
+            assert stats["compact_failures"] == 1
+            assert stats["compact_error"].startswith("InjectedFault")
+            assert stats["since_snapshot"] == 2
+            live = canonical_check_document(
+                state.session.check().to_json())
+            copy = tmp_path / "copy"
+            shutil.copytree(str(wal_dir), str(copy))
+            recovered = ModelServer(wal_dir=str(copy))
+            again = recovered.repo("main")
+            assert again.epoch == 2
+            assert canonical_check_document(
+                again.session.check().to_json()) == live
+            recovered.shutdown()
+            # the next edit-txn retries the compaction
+            editor.request("edit-txn", repo="main", base_epoch=2,
+                           ops=[rename_op(eids[2], "Compact2")])
+            assert state.wal.compactions == 1
+            assert state.wal.records_since_snapshot == 0
 
     def test_failed_replay_is_retryable(self, tmp_path):
         seeded_server(tmp_path)
