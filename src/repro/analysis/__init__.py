@@ -19,7 +19,7 @@ provides it:
 * the cross-diagram **consistency** family (``XD001``–``XD007``,
   :mod:`~repro.analysis.rules_consistency`), which checks the *set* of
   diagrams describing one system against each other — interactions
-  against class operations and state-machine triggers (via the memoised
+  against class operations and state-machine triggers (via the
   reachable-trigger analysis in :mod:`~repro.analysis.reachability`),
   state-machine actions against class features, and multiplicities and
   invariants for satisfiability.  Select it with
@@ -76,7 +76,6 @@ from .rules_statemachine import (  # noqa: E402
 from .reachability import (  # noqa: E402
     ReachabilitySummary,
     compute_reachability,
-    reachability,
     reachable_triggers,
 )
 
@@ -104,6 +103,5 @@ __all__ = [
     "reachable_vertices",
     "ReachabilitySummary",
     "compute_reachability",
-    "reachability",
     "reachable_triggers",
 ]

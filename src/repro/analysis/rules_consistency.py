@@ -52,7 +52,7 @@ from ..uml.relationships import Association
 from ..uml.statemachines import State, StateMachine
 from .diagnostics import Diagnostic
 from .registry import Severity, lint_rule
-from .reachability import reachable_triggers
+from .reachability import compute_reachability
 from .rules_statemachine import Atom, _atomize, _conjuncts, _satisfiable
 from .runner import LintContext
 
@@ -217,8 +217,13 @@ def check_message_reachable(interaction: Interaction,
         if machine is None \
                 or message.name not in _machine_triggers(machine):
             continue               # XD001 territory
-        accepted = reachable_triggers(machine)
-        if accepted is None or message.name in accepted:
+        # one analysis per machine per pass, however many messages it
+        # receives
+        cache_key = ("xd003-reachability", id(machine))
+        if cache_key not in ctx.cache:
+            ctx.cache[cache_key] = compute_reachability(machine)
+        summary = ctx.cache[cache_key]
+        if summary is None or summary.accepts(message.name):
             continue
         yield ctx.diag(
             message,

@@ -302,7 +302,12 @@ class IncrementalEngine:
         self._root_keys: Dict[int, List[tuple]] = {}
         self._mc_counts: Dict[MetaClass, int] = {}
         self._mc_keys: Dict[MetaClass, List[tuple]] = {}
+        # elements outside the scope that some unit's last run read,
+        # observed one by one: the elements each unit read, and per
+        # element the number of units that read it
         self._external: Dict[int, Element] = {}
+        self._external_reads: Dict[tuple, Dict[int, Element]] = {}
+        self._external_readers: Counter = Counter()
         self._roots_snapshot: Tuple[Element, ...] = ()
         self._structure_dirty = True
         self._quarantine: Dict[tuple, QuarantineEntry] = {}
@@ -342,6 +347,8 @@ class IncrementalEngine:
             for element in self._external.values():
                 element.unobserve(self._on_external_change)
             self._external.clear()
+            self._external_reads.clear()
+            self._external_readers.clear()
             self._attached = False
         self.unbind_transactions()
 
@@ -393,6 +400,8 @@ class IncrementalEngine:
             self._kind_counts[unit.kind] -= 1
         self._results.pop(key, None)
         self._deps.drop(key)
+        for element_id in self._external_reads.pop(key, ()):
+            self._release_external(element_id)
         self._dirty.discard(key)
         self._quarantine.pop(key, None)
 
@@ -591,14 +600,33 @@ class IncrementalEngine:
                 self._dirty.add(unit_key)
                 self.stats.invalidations += 1
 
-    def _note_external_reads(self, reads: Set[ReadKey]) -> None:
-        for obj, _name in reads:
-            if isinstance(obj, Element):
-                obj_id = id(obj)
-                if obj_id not in self._elements \
-                        and obj_id not in self._external:
+    def _note_external_reads(self, key: tuple, reads: Set[ReadKey]) -> None:
+        elements = self._elements
+        found = {id(obj): obj for obj, _name in reads
+                 if isinstance(obj, Element) and id(obj) not in elements}
+        previous = self._external_reads.pop(key, None)
+        if found:
+            self._external_reads[key] = found
+            for obj_id, obj in found.items():
+                if previous is None or obj_id not in previous:
+                    self._external_readers[obj_id] += 1
+                if obj_id not in self._external:
                     obj.observe(self._on_external_change)
                     self._external[obj_id] = obj
+        if previous:
+            for obj_id in previous.keys() - found.keys():
+                self._release_external(obj_id)
+
+    def _release_external(self, element_id: int) -> None:
+        # one unit fewer reads the element; after the last one no read
+        # key names it, so its changes can invalidate nothing
+        readers = self._external_readers
+        readers[element_id] -= 1
+        if readers[element_id] == 0:
+            del readers[element_id]
+            element = self._external.pop(element_id, None)
+            if element is not None:
+                element.unobserve(self._on_external_change)
 
     # -- execution ---------------------------------------------------------
 
@@ -620,7 +648,7 @@ class IncrementalEngine:
         else:
             self._results.pop(key, None)
         self._deps.set_reads(key, reads)
-        self._note_external_reads(reads)
+        self._note_external_reads(key, reads)
         self.stats.unit_runs += 1
         if key in self._quarantine:
             del self._quarantine[key]
@@ -646,7 +674,7 @@ class IncrementalEngine:
         # keep whatever reads happened before the crash so a relevant edit
         # can re-dirty the unit even before the backoff expires
         self._deps.set_reads(key, reads)
-        self._note_external_reads(reads)
+        self._note_external_reads(key, reads)
         self.stats.unit_runs += 1
         self.stats.checker_failures += 1
         self._dirty.add(key)        # retried once the backoff expires
@@ -815,6 +843,16 @@ class IncrementalEngine:
                      for key, diagnostics in self._results.items()
                      if not diagnostics]
         problems += self._deps.verify(self._units)
+        named = {id(obj) for key in self._units
+                 for obj, _name in self._deps.reads(key)}
+        problems += [f"observed with no read naming it: {element!r}"
+                     for key, element in self._external.items()
+                     if key not in named]
+        if self._external_readers != Counter(
+                element_id for found in self._external_reads.values()
+                for element_id in found):
+            problems.append("external reader counts differ from the "
+                            "units' recorded external reads")
         if orphans:
             return problems     # the report scan below needs every unit
         # the reference: a scan of every unit, in unit order

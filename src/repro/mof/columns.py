@@ -20,17 +20,19 @@ tight loops over contiguous columns instead of per-object ``get()`` calls
 (see :meth:`ColumnStore.conforming_values`, the bulk fast path the OCL
 closure compiler uses, and :meth:`ColumnStore.scan_structural`).
 
-Staleness protocol — the same discipline as :class:`~repro.mof.index.ModelIndex`:
+Staleness protocol — blocks are built lazily on first read and
+**invalidated on write**:
 
-* Blocks are built lazily on first read and **invalidated on write**: the
-  store observes the model's notification stream and marks the mutated
-  element's exact metaclass stale (plus, for containment changes, every
-  metaclass in the attached/detached subtree — those elements enter or
-  leave their extents).  Invalidation walks with
-  :func:`repro.mof.index.walk`, which reads raw slots, so it never feeds
-  the dependency-tracking read hook.
-* ``Model.add_root``/``remove_root`` call :meth:`root_added` /
-  :meth:`root_removed` directly (root changes emit no notification).
+* **Membership** comes from the model's
+  :class:`~repro.mof.index.ModelIndex`: the store is one of its
+  :attr:`~repro.mof.index.ModelIndex.listeners`, so every element that
+  enters or leaves the model (through a containment write or
+  ``Model.add_root``/``remove_root``) marks its exact metaclass stale.
+  The index has already walked the subtree to announce it, so the store
+  walks nothing itself.
+* **Values** come from the model's notification stream: a write marks
+  the written element's exact metaclass stale (the opposite side of a
+  reference notifies on its own element).
 * While dependency tracking is active (``kernel._TRACKING``), all bulk
   reads answer ``None`` so callers fall back to the per-object path the
   incremental engine can observe.  A counting read probe alone (such as
@@ -49,9 +51,8 @@ from array import array
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from . import kernel as _kernel
-from .index import walk
 from .kernel import Attribute, Element, Feature, MetaClass, Reference
-from .notify import ChangeKind, Notification
+from .notify import Notification
 
 if TYPE_CHECKING:                                   # pragma: no cover
     from .repository import Model
@@ -161,7 +162,8 @@ def _compact_attribute(feature: Attribute, values: List[Any]) -> Any:
 
 class ColumnStore:
     """Per-extent columns over one :class:`~repro.mof.repository.Model`,
-    invalidated from change notifications and rebuilt lazily on read.
+    invalidated from index membership transitions and change
+    notifications, and rebuilt lazily on read.
 
     Created via ``Model.enable_columns()``; read through
     :meth:`conforming_values` (OCL bulk path) and
@@ -176,41 +178,17 @@ class ColumnStore:
         self.invalidations = 0
         self.bulk_reads = 0
         model.observe(self._on_change)
-
-    def detach(self) -> None:
-        """Stop observing the model (``Model.disable_columns``)."""
-        self.model.unobserve(self._on_change)
-        self._blocks.clear()
-        self._built = 0
+        self._index.listeners.append(self._on_membership)
 
     # -- staleness intake --------------------------------------------------
 
     def _on_change(self, notification: Notification) -> None:
-        if self._built == 0:
-            return
-        feature = notification.feature
-        self._invalidate_meta(notification.element.meta)
-        if not getattr(feature, "containment", False):
-            return
-        kind = notification.kind
-        if kind is ChangeKind.MOVE:
-            # reorder within one container: membership and values of the
-            # moved subtree are untouched, only the container's column
-            # (already invalidated above) changed
-            return
-        moved = (notification.new
-                 if kind in (ChangeKind.ADD, ChangeKind.SET)
-                 else notification.old)
-        if isinstance(moved, Element):
-            self._invalidate_tree(moved)
-
-    def root_added(self, root: Element) -> None:
         if self._built:
-            self._invalidate_tree(root)
+            self._invalidate_meta(notification.element.meta)
 
-    def root_removed(self, root: Element) -> None:
+    def _on_membership(self, element: Element, entered: bool) -> None:
         if self._built:
-            self._invalidate_tree(root)
+            self._invalidate_meta(element.meta)
 
     def _invalidate_meta(self, meta: MetaClass) -> None:
         block = self._blocks.get(meta)
@@ -218,14 +196,6 @@ class ColumnStore:
             block.built = False
             self._built -= 1
             self.invalidations += 1
-
-    def _invalidate_tree(self, element: Element) -> None:
-        # hook-free walk: column maintenance is bookkeeping, not a
-        # tracked model read
-        for node in walk(element):
-            self._invalidate_meta(node.meta)
-            if self._built == 0:
-                return
 
     # -- block access ------------------------------------------------------
 

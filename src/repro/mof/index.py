@@ -55,11 +55,12 @@ Staleness protocol — how the index stays honest against the live model:
 Membership listeners: the enter/leave transitions derived above are
 also handed to every callable in :attr:`ModelIndex.listeners` as
 ``listener(element, entered)``, once per real transition (an element
-already indexed does not re-enter).  The incremental engine takes its
-element membership from these instead of re-walking the tree, so one
-protocol serves both.  The subtree walk happens at notification time,
-which keeps "detach, mutate while detached, reattach" exact: the
-detached subtree leaves as it was, and re-enters as it is.
+already indexed does not re-enter).  The incremental engine and the
+column store (:mod:`repro.mof.columns`) take their element membership
+from these instead of re-walking the tree, so one protocol serves all
+three.  The subtree walk happens at notification time, which keeps
+"detach, mutate while detached, reattach" exact: the detached subtree
+leaves as it was, and re-enters as it is.
 
 ``REPRO_INDEX_VERIFY=1`` cross-checks every indexed answer, and every
 preorder, against the scan it replaced (the equivalence oracle the

@@ -78,9 +78,9 @@ _READ_HOOK = None
 
 #: Nesting depth of dependency-tracked reads, raised and lowered by
 #: :func:`repro.incremental.tracking.collect_reads`.  Bulk fast paths
-#: (extent index, column store, reachability memo) answer without the
-#: per-element reads a tracker must record, so they test this depth
-#: rather than :data:`_READ_HOOK`: a counting probe such as the one
+#: (extent index, column store) answer without the per-element reads a
+#: tracker must record, so they test this depth rather than
+#: :data:`_READ_HOOK`: a counting probe such as the one
 #: ``repro.obs.enable()`` installs must not switch them off.
 _TRACKING = 0
 

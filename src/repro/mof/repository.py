@@ -62,10 +62,9 @@ class Model:
         self.roots.append(element)
         object.__setattr__(element, "_model", self)
         # root attachment emits no notification; tell the index directly
+        # (the column store hears of it as index membership)
         if self._index is not None:
             self._index.root_added(element)
-        if self._columns is not None:
-            self._columns.root_added(element)
         if _ROOT_HOOK is not None:
             _ROOT_HOOK(self, element, True)
         return element
@@ -75,8 +74,6 @@ class Model:
         object.__setattr__(element, "_model", None)
         if self._index is not None:
             self._index.root_removed(element)
-        if self._columns is not None:
-            self._columns.root_removed(element)
         if _ROOT_HOOK is not None:
             _ROOT_HOOK(self, element, False)
 
@@ -91,19 +88,14 @@ class Model:
     def enable_columns(self) -> "ColumnStore":
         """Turn on the columnar extent store for this model (idempotent).
 
-        Columns are maintained from change notifications like the extent
-        index and rebuilt lazily per metaclass on read — see
+        Columns take membership from the extent index's enter/leave
+        transitions and values from change notifications, and are
+        rebuilt lazily per metaclass on read — see
         :mod:`repro.mof.columns` for the staleness protocol."""
         if self._columns is None:
             from .columns import ColumnStore
             self._columns = ColumnStore(self)
         return self._columns
-
-    def disable_columns(self) -> None:
-        """Drop the columnar store and stop maintaining it."""
-        if self._columns is not None:
-            self._columns.detach()
-            self._columns = None
 
     def column_store(self) -> Optional["ColumnStore"]:
         """The model's :class:`~repro.mof.columns.ColumnStore`, or ``None``

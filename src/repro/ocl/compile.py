@@ -388,9 +388,13 @@ class _Compiler:
 
         The predicate reuses the compiler's own ``truthy``/``_equal``/
         ``_compare`` helpers and the column holds exactly the effective
-        values ``_get_value`` would return in the same extent order, so
-        results *and* first-error behaviour match the generic closure —
-        which stays attached as the transparent fallback for cold or
+        values ``_get_value`` would return.  The column is in extent
+        order, which need not be the order the generic closure iterates
+        (an element scope iterates in preorder, and a move reorders that
+        but not the extent), so the column answers only what no order
+        can change: every value is tested, and when any test raises, the
+        generic closure decides which error or answer comes first.  It
+        also stays attached as the transparent fallback for cold or
         object-backed scopes (``env.columns`` returning ``None``)."""
         source = node.source
         if not (isinstance(source, Call) and source.name == "allInstances"
@@ -408,15 +412,11 @@ class _Compiler:
             if isinstance(metaclass, MetaClass):
                 column = env.columns(metaclass, attr)
                 if column is not None:
-                    if forall:
-                        for value in column:
-                            if not test(value):
-                                return False
-                        return True
-                    for value in column:
-                        if test(value):
-                            return True
-                    return False
+                    try:
+                        results = list(map(test, column))
+                    except OclEvaluationError:
+                        return generic(env)
+                    return all(results) if forall else any(results)
             return generic(env)
         return run
 

@@ -589,27 +589,16 @@ class ServerConnection:
 
     # -- param helpers -----------------------------------------------------
 
-    @staticmethod
-    def _require(params: Dict[str, Any], key: str, kind: type) -> Any:
-        value = params.get(key)
-        if not isinstance(value, kind) or (kind is int
-                                           and isinstance(value, bool)):
-            raise ServerError(
-                "bad-params",
-                f"param {key!r} must be a {kind.__name__}, "
-                f"got {type(value).__name__}")
-        return value
-
     def _repo_param(self, params: Dict[str, Any]) -> RepoState:
-        return self.server.repo(self._require(params, "repo", str))
+        return self.server.repo(_require_param(params, "repo", str))
 
     # -- verbs -------------------------------------------------------------
 
     def _verb_load(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Host a serialized model file as a new repository."""
         from ..cli import load_model
-        name = self._require(params, "repo", str)
-        path = self._require(params, "path", str)
+        name = _require_param(params, "repo", str)
+        path = _require_param(params, "path", str)
         with self.server._edit_lock:
             try:
                 session = Session(load_model(path))
@@ -655,8 +644,8 @@ class ServerConnection:
     def _verb_edit_txn(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """One atomic, epoch-guarded batch of edits."""
         state = self._repo_param(params)
-        base_epoch = self._require(params, "base_epoch", int)
-        ops = self._require(params, "ops", list)
+        base_epoch = _require_param(params, "base_epoch", int)
+        ops = _require_param(params, "ops", list)
         with state.lock:
             if base_epoch != state.epoch:
                 state.edits_rejected += 1

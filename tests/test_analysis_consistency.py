@@ -5,8 +5,9 @@ Four layers of coverage:
 * **seeded-defect corpora** — for every rule, a model population with a
   known set of planted inconsistencies; the rule must find each planted
   defect (recall = 1.0) and nothing else (precision = 1.0);
-* **reachability memoisation** — cache hits, edit-driven invalidation,
-  and invalidation by the inverse ops a transaction rollback replays;
+* **reachable-trigger analysis** — one analysis per machine per lint
+  pass, and answers that follow edits and the inverse ops a transaction
+  rollback replays;
 * **incremental parity** — a consistency-enabled
   :class:`~repro.incremental.IncrementalEngine` stays multiset-equal to
   the batch checkers over hundreds of fuzzed edits on models that
@@ -33,9 +34,7 @@ from repro.analysis import (
     compute_reachability,
     reachable_triggers,
 )
-import importlib
-
-reach_mod = importlib.import_module("repro.analysis.reachability")
+from repro.analysis import rules_consistency
 from repro.incremental import IncrementalEngine, report_signature
 from repro.mof import MInteger, transaction
 from repro.mof.validate import Severity, validate_tree
@@ -309,15 +308,8 @@ def test_population_precision_and_recall():
 
 
 # ---------------------------------------------------------------------------
-# Reachability memoisation
+# Reachable-trigger analysis
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture()
-def fresh_cache():
-    reach_mod.invalidate_cache()
-    yield
-    reach_mod.invalidate_cache()
 
 
 def _machine():
@@ -335,7 +327,7 @@ def _machine():
     return f, machine, region
 
 
-def test_reachability_summary(fresh_cache):
+def test_reachability_summary():
     _, machine, region = _machine()
     summary = compute_reachability(machine)
     assert summary.states == {"A", "B"}
@@ -343,28 +335,35 @@ def test_reachability_summary(fresh_cache):
     assert summary.accepts("go") and not summary.accepts("nope")
 
 
-def test_reachability_cache_hit(fresh_cache):
-    _, machine, _ = _machine()
-    misses = reach_mod.MISSES
-    hits = reach_mod.HITS
-    first = reachable_triggers(machine)
-    second = reachable_triggers(machine)
-    assert first == second == frozenset({"go", "back"})
-    assert reach_mod.MISSES == misses + 1
-    assert reach_mod.HITS == hits + 1
-    assert reach_mod.cache_size() == 1
+def test_lint_pass_analyses_each_machine_once(monkeypatch):
+    """XD003 keeps one summary per machine for its lint pass: the model's
+    two event messages to one machine cost one analysis."""
+    f, scenario = bank_model(defects=("unreachable",))
+    machine = next(e for e in f.model.all_contents()
+                   if isinstance(e, StateMachine))
+    events = [m for m in scenario.messages if m.name in ("open", "expire")]
+    assert len(events) == 2
+    analysed = []
+
+    def counting(target):
+        analysed.append(target)
+        return compute_reachability(target)
+
+    monkeypatch.setattr(rules_consistency, "compute_reachability", counting)
+    report = consistency_lint(f.model)
+    assert analysed == [machine]
+    assert len(codes(report, "XD003")) == 1
 
 
-def test_reachability_cache_invalidated_by_edit(fresh_cache):
+def test_reachability_cache_invalidated_by_edit():
     _, machine, region = _machine()
     assert reachable_triggers(machine) == {"go", "back"}
-    # removing the B->A transition must drop the cached summary
     gone = next(t for t in region.transitions if t.trigger == "back")
     region.transitions.remove(gone)
     assert reachable_triggers(machine) == {"go"}
 
 
-def test_reachability_cache_invalidated_by_new_state(fresh_cache):
+def test_reachability_cache_invalidated_by_new_state():
     _, machine, region = _machine()
     assert reachable_triggers(machine) == {"go", "back"}
     b = next(v for v in region.subvertices if v.name == "B")
@@ -373,9 +372,9 @@ def test_reachability_cache_invalidated_by_new_state(fresh_cache):
     assert reachable_triggers(machine) == {"go", "back", "jump"}
 
 
-def test_reachability_cache_invalidated_by_rollback(fresh_cache):
-    """A transaction rollback replays inverse ops; the cache must not
-    keep the summary computed from the rolled-back structure."""
+def test_reachability_cache_invalidated_by_rollback():
+    """A transaction rollback replays inverse ops; the answer after it
+    is the one from before the rolled-back structure."""
     _, machine, region = _machine()
     assert reachable_triggers(machine) == {"go", "back"}
     with pytest.raises(RuntimeError):
@@ -383,13 +382,13 @@ def test_reachability_cache_invalidated_by_rollback(fresh_cache):
             a = next(v for v in region.subvertices if v.name == "A")
             z = region.add_state("Z")
             region.add_transition(a, z, trigger="zap")
-            # cache the mid-transaction structure, then abort
+            # answer from the mid-transaction structure, then abort
             assert reachable_triggers(machine) == {"go", "back", "zap"}
             raise RuntimeError("abort")
     assert reachable_triggers(machine) == {"go", "back"}
 
 
-def test_reachability_unanalysable_machines(fresh_cache):
+def test_reachability_unanalysable_machines():
     f = ModelFactory("multi")
     owner = f.clazz("O")
     machine = StateMachine(name="Two")
@@ -400,7 +399,7 @@ def test_reachability_unanalysable_machines(fresh_cache):
     assert reachable_triggers(machine) is None
 
 
-def test_reachability_prunes_unsatisfiable_guards(fresh_cache):
+def test_reachability_prunes_unsatisfiable_guards():
     _, machine, region = _machine()
     b = next(v for v in region.subvertices if v.name == "B")
     c = region.add_state("C")
@@ -408,22 +407,6 @@ def test_reachability_prunes_unsatisfiable_guards(fresh_cache):
     summary = compute_reachability(machine)
     assert "never" not in summary.triggers
     assert "C" not in summary.states
-
-
-def test_reachability_lru_bound(fresh_cache):
-    machines = []
-    for index in range(reach_mod._MAX_ENTRIES + 8):
-        f = ModelFactory(f"m{index}")
-        owner = f.clazz("O")
-        machine = StateMachine(name=f"M{index}")
-        owner.owned_behaviors.append(machine)
-        region = machine.add_region("main")
-        initial = region.add_initial()
-        state = region.add_state("S")
-        region.add_transition(initial, state)
-        machines.append(machine)
-        reachable_triggers(machine)
-    assert reach_mod.cache_size() == reach_mod._MAX_ENTRIES
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +609,32 @@ def test_single_edit_reruns_few_units():
     scenario.messages[0].name = "open"          # no-op value, real write
     engine.revalidate()
     assert engine.stats.last_rerun < total / 4
+    engine.detach()
+
+
+def test_engine_keeps_no_stale_flattened_machine():
+    """XD003 reads a fresh flattened copy of a composite machine on each
+    run.  The engine observes such an out-of-model element only while a
+    recorded read names it, so reruns do not pile up old copies."""
+    f, _ = bank_model(defects=("unreachable",))
+    machine = next(e for e in f.model.all_contents()
+                   if isinstance(e, StateMachine))
+    region = machine.regions[0]
+    active = next(v for v in region.subvertices if v.name == "Active")
+    inner = active.add_region("inner")
+    inner.add_transition(inner.add_initial(), inner.add_state("Busy"))
+    orphan = next(v for v in region.subvertices if v.name == "Orphan")
+    engine = IncrementalEngine(f.model, structural=False, invariants=False,
+                               wellformed=False, lint=False,
+                               consistency=True)
+    engine.revalidate()
+    observed = len(engine._external)
+    assert observed > 0
+    for step in range(50):
+        orphan.name = f"Orphan{step}"
+        engine.revalidate()
+    assert len(engine._external) == observed
+    assert engine.verify() == []
     engine.detach()
 
 
