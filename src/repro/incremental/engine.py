@@ -54,12 +54,13 @@ from ..mof.validate import (
     Diagnostic,
     Severity,
     ValidationReport,
-    validate_element,
+    _check_multiplicities,
+    audit_links,
 )
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .tracking import (CONTAINER_KEY, EXTENT_KEY, DependencyGraph, ReadKey,
-                       collect_reads)
+                       collect_reads, untracked)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +82,19 @@ class _Unit:
 
 class StructuralUnit(_Unit):
     """``validate_element`` (multiplicities, opposites, containment) for
-    one element; invariants are carried by :class:`InvariantUnit`."""
+    one element; invariants are carried by :class:`InvariantUnit`.
+
+    Only the multiplicity check is tracked.  The link audits
+    (:func:`~repro.mof.validate.audit_links`) run untracked: no kernel
+    edit can break one of the element's links or children without
+    writing one of its own slots, and the multiplicity check read every
+    one of them.  A write made while the element was outside the model
+    notifies no one, but the sync that sees it back invalidates all its
+    readers, this unit among them.  Raw damage done after the unit ran
+    notifies no one and is the full pass's to find.  An audit that
+    reports damage runs again tracked, so the reads behind its
+    diagnostics (the names their ``path`` renders among them) are
+    recorded and a later repair or rename reruns the unit."""
 
     __slots__ = ("element",)
     kind = "structural"
@@ -90,8 +103,17 @@ class StructuralUnit(_Unit):
         self.element = element
 
     def run(self) -> List[Diagnostic]:
-        return validate_element(self.element,
-                                check_invariants=False).diagnostics
+        element = self.element
+        report = ValidationReport()
+        _check_multiplicities(element, report)
+        diagnostics = report.diagnostics
+        tracked = len(diagnostics)
+        with untracked():
+            audit_links(element, report)
+        if len(diagnostics) > tracked:
+            del diagnostics[tracked:]
+            audit_links(element, report)
+        return diagnostics
 
 
 class InvariantUnit(_Unit):
@@ -523,9 +545,14 @@ class IncrementalEngine:
                 if inside:
                     if element_id not in self._elements:
                         entered.append(element)
+                    else:
+                        # left and came back since the last sync: a write
+                        # made while it was outside reached no model
+                        self._invalidate_readers_of(element)
                 elif element_id in self._elements:
                     del self._elements[element_id]
                     self._remove_element(element_id, element)
+                    self._invalidate_readers_of(element)
             for element in entered:
                 self._elements[id(element)] = element
                 self._add_element(element)
@@ -568,6 +595,14 @@ class IncrementalEngine:
         self._invalidate((meta, EXTENT_KEY))
         for metaclass in meta.all_superclasses():
             self._invalidate((metaclass, EXTENT_KEY))
+
+    def _invalidate_readers_of(self, element: Element) -> None:
+        # a unit that read an element which has since left the scope must
+        # rerun: its rerun reads the element while outside, so the element
+        # is observed on its own and later writes to it reach the engine
+        for name in element.meta.all_features():
+            self._invalidate((element, name))
+        self._invalidate((element, CONTAINER_KEY))
 
     def _on_change(self, notification: Notification) -> None:
         self.stats.notifications += 1

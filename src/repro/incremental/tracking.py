@@ -8,9 +8,11 @@ model root as one *extent read*, ``(metaclass, EXTENT_KEY)`` (see
 :data:`~repro.mof.kernel.EXTENT_KEY`).  :func:`collect_reads` taps
 that stream for the duration of one check, giving the engine the exact
 read set — ``(object, feature_name)`` pairs — of every invariant,
-well-formedness rule and lint rule it runs.  :class:`DependencyGraph`
-inverts those read sets into a ``read key -> reader units`` index so a
-change notification maps to the units it invalidates in O(readers).
+well-formedness rule and lint rule it runs; :func:`untracked` mutes the
+innermost tap for checks whose verdict the kernel guarantees.
+:class:`DependencyGraph` inverts those read sets into a ``read key ->
+reader units`` index so a change notification maps to the units it
+invalidates in O(readers).
 
 The index has one edge per (unit, key) pair, several per element, so it
 is kept compact: each distinct key is interned once as an integer slot,
@@ -60,6 +62,7 @@ def collect_reads(into: Set[ReadKey]) -> Iterator[Set[ReadKey]]:
         def hook(obj: Any, name: str) -> None:
             into.add((obj, name))
             previous(obj, name)
+    hook.outer = previous       # what untracked() leaves listening
     kernel.set_read_hook(hook)
     kernel._TRACKING += 1
     try:
@@ -67,6 +70,27 @@ def collect_reads(into: Set[ReadKey]) -> Iterator[Set[ReadKey]]:
     finally:
         kernel._TRACKING -= 1
         kernel.set_read_hook(previous)
+
+
+@contextmanager
+def untracked() -> Iterator[None]:
+    """Keep the innermost :func:`collect_reads` block from recording the
+    block's reads.
+
+    Only that collector is muted: the hooks it chains to (an outer
+    engine's collector, the ``mof.reads`` counter) still see every read,
+    so nesting stays as :func:`collect_reads` promises.  The kernel's
+    tracking depth is left alone: the bulk fast paths stay off, so the
+    block reads the same objects a tracked run would.  For checks whose
+    verdict the kernel itself guarantees to the innermost engine (see
+    ``StructuralUnit.run``).
+    """
+    hook = kernel.set_read_hook(None)
+    kernel.set_read_hook(getattr(hook, "outer", hook))
+    try:
+        yield
+    finally:
+        kernel.set_read_hook(hook)
 
 
 #: A key's readers are kept as a tuple while there are at most this many

@@ -323,8 +323,7 @@ class ColumnStore:
             for target in targets:
                 slot = target._slots.get(opp_name)
                 if opp_many:
-                    ok = slot is not None and any(
-                        v is element or v == element for v in slot._items)
+                    ok = slot is not None and element in slot._items
                 else:
                     ok = slot is element
                 if not ok:

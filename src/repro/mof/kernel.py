@@ -609,7 +609,8 @@ class FeatureList:
         return iter(list(self._items))
 
     def __contains__(self, value: Any) -> bool:
-        return any(v is value or v == value for v in self._items)
+        # list containment tests identity first, then ``==``, in C
+        return value in self._items
 
     def __getitem__(self, index):
         return self._items[index]

@@ -160,6 +160,17 @@ def _check_containment(element: Element, report: ValidationReport) -> None:
                 code="containment")
 
 
+def audit_links(element: Element, report: ValidationReport) -> None:
+    """The opposite and containment audits of *element*.
+
+    The kernel keeps both ends of every link in step (``_link`` and
+    ``_unlink``) and takes a child out of its container's slot when it
+    moves (``_detach``), so these audits only report damage done by a
+    raw write to ``_slots`` or ``_container`` that bypassed it."""
+    _check_opposites(element, report)
+    _check_containment(element, report)
+
+
 def _check_invariants(element: Element, report: ValidationReport) -> None:
     for metaclass in [element.meta] + element.meta.all_superclasses():
         for invariant in metaclass.invariants:
@@ -184,8 +195,7 @@ def validate_element(element: Element,
     """Validate a single element (not its contents)."""
     report = ValidationReport()
     _check_multiplicities(element, report)
-    _check_opposites(element, report)
-    _check_containment(element, report)
+    audit_links(element, report)
     if check_invariants:
         _check_invariants(element, report)
     return report

@@ -285,3 +285,113 @@ def test_all_instances_invariant_reruns_on_its_own_extent(library,
     assert any("small-staff" in d.message
                for d in engine.report().diagnostics)
     engine.detach()
+
+
+@pytest.mark.parametrize("comes_back", [False, True],
+                         ids=["stays-out", "comes-back"])
+def test_write_to_a_book_that_left_reaches_its_readers(comes_back):
+    """A unit read book b while b was in the model; b then leaves.  A
+    write to b while it is out must still rerun that unit, whether the
+    engine syncs while b is out or b is back on its shelf first."""
+    root = demo_generator(seed=3).generate(60)
+    model = Model("urn:left")
+    model.add_root(root)
+    constraints = ConstraintSet("sequels")
+    constraints.add(classifier("GBook"), "sequel-pages",
+                    "self.sequel.oclIsUndefined() or self.sequel.pages >= 0")
+    engine = IncrementalEngine(model, wellformed=False, lint=False,
+                               constraint_sets=[constraints])
+    assert_consistent(engine)
+    books = instances_of(root, classifier("GBook"))
+    for book in books:
+        book.pages = 10
+    assert_consistent(engine)
+    first, sequel = books[:2]
+    first.sequel = sequel
+    assert_consistent(engine)
+    shelf = sequel.shelf
+    shelf.books.remove(sequel)
+    if not comes_back:
+        assert_consistent(engine)
+    sequel.pages = -5                   # reaches no model
+    if comes_back:
+        shelf.books.append(sequel)
+    assert_consistent(engine)
+    assert [d.element for d in engine.report().diagnostics
+            if "sequel-pages" in d.message] == [first]
+    engine.detach()
+
+
+def test_association_that_left_and_came_back_rechecks_its_ends():
+    """An association's package leaves, one of its ends (owned by a
+    class that stayed) drops it, and the package comes back: the
+    association's unit reruns and reports the missing end."""
+    factory = ModelFactory("assoc")
+    owner, target = factory.clazz("Owner"), factory.clazz("Target")
+    package = factory.package("P")
+    association = factory.associate(owner, target, navigable_b_to_a=True,
+                                    package=package)
+    end = association.member_ends[0]
+    model = Model("urn:assoc")
+    model.add_root(factory.model)
+    engine = IncrementalEngine(model, wellformed=False, lint=False)
+    assert_consistent(engine)
+    factory.model.packaged_elements.remove(package)
+    end.association = None              # unlinks the detached end too
+    factory.model.packaged_elements.append(package)
+    assert_consistent(engine)
+    assert any(d.code == "multiplicity" and d.element is association
+               for d in engine.report().diagnostics)
+    engine.detach()
+
+
+def _break_back_reference(root, shelf, other, book):
+    book._slots["shelf"] = None
+
+
+def _break_container(root, shelf, other, book):
+    book._container = other
+
+
+def _remove_from_list(root, shelf, other, book):
+    shelf.books.remove(book)
+
+
+def _set_back_reference(root, shelf, other, book):
+    book.shelf = shelf
+
+
+def _move_to_other_shelf(root, shelf, other, book):
+    other.books.append(book)
+
+
+def _delete(root, shelf, other, book):
+    book.delete()
+
+
+def _rename_library(root, shelf, other, book):
+    root.name = "Renamed"
+
+
+@pytest.mark.parametrize("repair", [
+    _remove_from_list, _set_back_reference, _move_to_other_shelf, _delete,
+    _rename_library])
+@pytest.mark.parametrize("damage,code", [
+    (_break_back_reference, "opposite"), (_break_container, "containment")])
+def test_kernel_repair_after_raw_damage(damage, code, repair):
+    """Raw damage made before a build is reported by the build, and a
+    kernel edit afterwards refreshes the report: the damaged audit's
+    reads, the ancestor names its path renders among them, were
+    recorded."""
+    root = demo_generator(seed=5).generate(40)
+    model = Model("urn:damage")
+    model.add_root(root)
+    shelf, other = shelves_with_books(root)[:2]
+    book = shelf.books[0]
+    damage(root, shelf, other, book)    # no notification: not a kernel edit
+    engine = IncrementalEngine(model, wellformed=False, lint=False)
+    assert code in {d.code for d in engine.revalidate().diagnostics}
+    assert_consistent(engine)
+    repair(root, shelf, other, book)
+    assert_consistent(engine)
+    engine.detach()

@@ -4,7 +4,8 @@
 readers in tuples or sets by count.  These tests hold it to a plain
 dict-of-sets reference over a seeded random sequence of updates, check
 that a dropped unit releases the objects it read, that the engine's
-``verify()`` audits the index, and that the index stays compact.
+``verify()`` audits the index, that ``untracked`` mutes only the
+innermost collector, and that the index stays compact.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import weakref
 
 from repro.generate import demo_package
 from repro.incremental import DependencyGraph, IncrementalEngine, tracking
+from repro.mof import kernel
 from repro.session import Session
 
 
@@ -115,6 +117,28 @@ def test_drop_releases_the_key_object():
     assert graph.key_count() == 1 and graph.verify({"other"}) == []
 
 
+def test_untracked_mutes_only_the_innermost_collector():
+    book = demo_package().classifier("GBook")(name="read", pages=1)
+    counted = []
+    depth = kernel._TRACKING
+    previous = kernel.set_read_hook(lambda obj, name: counted.append(name))
+    try:
+        outer, inner = set(), set()
+        with tracking.collect_reads(outer):
+            with tracking.collect_reads(inner):
+                with tracking.untracked():
+                    assert kernel._TRACKING == depth + 2
+                    book.pages
+                book.name
+            with tracking.untracked():
+                book.pages
+    finally:
+        kernel.set_read_hook(previous)
+    assert inner == {(book, "name")}
+    assert outer == {(book, "pages"), (book, "name")}
+    assert counted == ["pages", "name", "pages"]
+
+
 def _warm_engine():
     session = Session.generate("demo", size=60, seed=2, repair=False)
     engine = IncrementalEngine(session.model, wellformed=False, lint=False)
@@ -144,7 +168,7 @@ def test_verify_reports_reads_kept_for_a_dropped_unit():
 
 
 def test_index_costs_at_most_160_bytes_per_edge():
-    session = Session.generate("demo", size=2000, seed=0, repair=False)
+    session = Session.generate("demo", size=2200, seed=0, repair=False)
     tracemalloc.start()
     try:
         view = session.watch()

@@ -7,6 +7,7 @@ disconnects and true multi-client concurrency on real sockets.
 """
 
 import json
+import random
 import sys
 import threading
 from collections import Counter
@@ -449,6 +450,67 @@ class TestEditTxn:
             assert error.data["ops"] == ops
             assert element.eget("name") == original
             assert state.epoch == 0
+
+    def test_fuzzed_edit_txns_leave_no_link_damage(self, server):
+        """Edits through the kernel keep both ends of every link in step:
+        after fuzzed edit-txns that move, detach, create and delete
+        books, one of them failing and rolled back, the structural
+        family reports no opposite or containment diagnostic."""
+        state = host_corpus(server, size=120, seed=5)
+        rng = random.Random(5)
+        library = state.model.roots[0].eid
+
+        def eids(metaclass):
+            return [element.eid for element in state.model.all_elements()
+                    if element.meta.name == metaclass]
+
+        def fuzzed_ops():
+            shelves = eids("GShelf")
+            book = iter(rng.sample(eids("GBook"), 7))
+            ops = [pages_op(next(book), rng.randint(-5, 50)),
+                   {"op": "set", "element": next(book),
+                    "feature": "sequel", "ref": next(book)},
+                   {"op": "add", "element": rng.choice(shelves),
+                    "feature": "books", "ref": next(book)},
+                   {"op": "set", "element": next(book), "feature": "shelf",
+                    "ref": rng.choice(shelves)},
+                   {"op": "unset", "element": next(book),
+                    "feature": "shelf"},
+                   {"op": "create", "metaclass": "GBook",
+                    "attrs": {"name": "fresh"},
+                    "parent": rng.choice(shelves), "feature": "books"},
+                   {"op": "delete", "element": next(book)}]
+            rng.shuffle(ops)
+            return ops
+
+        def structural(client, incremental=False):
+            document = client.request("check", repo="main",
+                                      families=["structural"],
+                                      incremental=incremental)
+            assert not {record["code"] for record
+                        in document["families"]["structural"]} \
+                & {"opposite", "containment"}
+            return document
+
+        with InProcessClient(server) as client:
+            structural(client, True)        # the view sees every edit
+            for epoch in range(8):
+                ops = fuzzed_ops()
+                if epoch == 4:
+                    # 'add' on a scalar feature fails inside the kernel
+                    failing = {"op": "add", "element": library,
+                               "feature": "name", "value": "x"}
+                    with pytest.raises(RemoteError) as excinfo:
+                        client.request("edit-txn", repo="main",
+                                       base_epoch=epoch,
+                                       ops=ops + [failing])
+                    assert excinfo.value.data["rolled_back"] is True
+                    assert structural(client)["epoch"] == epoch
+                client.request("edit-txn", repo="main", base_epoch=epoch,
+                               ops=ops)
+                structural(client)
+            assert diagnostic_multiset(structural(client, True)) == \
+                diagnostic_multiset(structural(client))
 
     def test_watch_pushes_diagnostics_events(self, server):
         state = host_corpus(server)

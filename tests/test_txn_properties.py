@@ -7,8 +7,10 @@ pre-transaction snapshot — is checked across 200 seeded random models
 including the delete/move-heavy ``destructive`` profile whose inverses
 (subtree resurrection, position restoration in ordered lists) are the
 hardest to replay.  Snapshots are JSON round-trip clones, so equality is
-structural, not aliasing.  Everything is seeded: a failure message names
-the (metamodel, profile, seed) triple that replays it.
+structural, not aliasing.  The same runs check that the edits and their
+rollback leave no opposite or containment damage, which the incremental
+engine's untracked link audits rely on.  Everything is seeded: a failure
+message names the (metamodel, profile, seed) triple that replays it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.generate import EditFuzzer, demo_generator, demo_package, \
     uml_generator
 from repro.mof import compare, transaction
 from repro.mof.repository import Model
+from repro.mof.validate import validate_tree
 from repro.xmi import read_json, write_json
 
 
@@ -53,6 +56,15 @@ def _build(metamodel: str, seed: int):
     return generator, packages, root
 
 
+def _link_damage(root):
+    """The tree's opposite and containment diagnostics.  The kernel
+    keeps both ends of every link in step, so edits through it, and
+    their rollback, never yield one."""
+    return [diagnostic.render() for diagnostic
+            in validate_tree(root, check_invariants=False).diagnostics
+            if diagnostic.code in ("opposite", "containment")]
+
+
 def _snapshot(root, packages):
     model = Model("urn:test:snapshot")
     model.add_root(root)
@@ -72,7 +84,9 @@ def test_rollback_restores_snapshot(metamodel, profile, seed):
     with pytest.raises(Abort):
         with transaction():
             edits = fuzzer.apply_random_edits(30)
+            assert _link_damage(root) == [], edits
             raise Abort
+    assert _link_damage(root) == [], edits
     result = compare(snapshot, root)
     assert result.identical, (
         f"rollback failed to restore model "
@@ -95,6 +109,7 @@ def test_commit_then_rollback_only_undoes_second_transaction(seed):
                         profile="destructive")
     with transaction():
         fuzzer.apply_random_edits(15)
+    assert _link_damage(root) == []
     committed = _snapshot(root, packages)
     with pytest.raises(Abort):
         with transaction():
