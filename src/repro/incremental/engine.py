@@ -23,9 +23,12 @@ of ``model.roots``.
 
 Reports are assembled the same way: only units with diagnostics keep a
 result entry, and each unit carries its insertion sequence, so a report
-sorts those few entries into unit order instead of scanning every unit.
-:meth:`IncrementalEngine.verify` recomputes membership and reports from
-scratch and lists any difference.
+sorts those few entries into unit order, once per change of the result
+set, instead of scanning every unit.  Each diagnostic's wire record is
+rendered inside its unit's tracked run, so a served check document is
+spliced from records that go stale only with their units.
+:meth:`IncrementalEngine.verify` recomputes membership, reports and
+records from scratch and lists any difference.
 
 The unit decomposition mirrors the batch checkers exactly —
 ``validate_tree`` (structure + registered invariants),
@@ -59,6 +62,7 @@ from ..mof.validate import (
 )
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
+from ..session import encode_record
 from .tracking import (CONTAINER_KEY, EXTENT_KEY, DependencyGraph, ReadKey,
                        collect_reads, untracked)
 
@@ -311,6 +315,8 @@ class IncrementalEngine:
         self._units: Dict[tuple, _Unit] = {}
         # non-empty results only; a unit that reports nothing has no entry
         self._results: Dict[tuple, Tuple[Diagnostic, ...]] = {}
+        # the keys of _results in unit order; None once a key came or went
+        self._ordered: Optional[List[tuple]] = None
         self._next_seq = itertools.count()
         self._kind_counts: Counter = Counter()   # unit kind -> live units
         self._deps = DependencyGraph()
@@ -420,7 +426,8 @@ class IncrementalEngine:
         unit = self._units.pop(key, None)
         if unit is not None:
             self._kind_counts[unit.kind] -= 1
-        self._results.pop(key, None)
+        if self._results.pop(key, None) is not None:
+            self._ordered = None
         self._deps.drop(key)
         for element_id in self._external_reads.pop(key, ()):
             self._release_external(element_id)
@@ -675,13 +682,19 @@ class IncrementalEngine:
                 if _faults.ACTIVE is not None:
                     _faults.probe("checker.run")
                 diagnostics = unit.run()
+                # rendered here, the names a record shows join the unit's
+                # reads: a write that changes the record reruns the unit
+                for diagnostic in diagnostics:
+                    diagnostic._record = encode_record(diagnostic)
         except Exception as exc:  # noqa: BLE001 - isolation is the point
             self._quarantine_unit(key, unit, exc, reads)
             return
         if diagnostics:
+            if key not in self._results:
+                self._ordered = None
             self._results[key] = tuple(diagnostics)
-        else:
-            self._results.pop(key, None)
+        elif self._results.pop(key, None) is not None:
+            self._ordered = None
         self._deps.set_reads(key, reads)
         self._note_external_reads(key, reads)
         self.stats.unit_runs += 1
@@ -699,6 +712,10 @@ class IncrementalEngine:
             2 ** min(entry.failures - 1, self._BACKOFF_CAP)
         element = getattr(unit, "element", None) \
             or getattr(unit, "target", None) or getattr(unit, "root", None)
+        if key not in self._results:
+            self._ordered = None
+        # built outside any tracked run, so its record is not memoized:
+        # the document renders it afresh every time
         self._results[key] = (Diagnostic(
             Severity.ERROR,
             element if isinstance(element, Element) else None,
@@ -803,9 +820,13 @@ class IncrementalEngine:
     # -- results -----------------------------------------------------------
 
     def _result_keys(self) -> List[tuple]:
-        """The keys of the non-empty results, in unit insertion order."""
-        units = self._units
-        return sorted(self._results, key=lambda key: units[key].seq)
+        """The keys of the non-empty results, in unit insertion order;
+        sorted again only after a key came or went."""
+        if self._ordered is None:
+            units = self._units
+            self._ordered = sorted(self._results,
+                                   key=lambda key: units[key].seq)
+        return self._ordered
 
     def report(self) -> ValidationReport:
         """The merged cached diagnostics of every unit (no recomputation)."""
@@ -849,8 +870,8 @@ class IncrementalEngine:
                 "edges": deps.edge_count()}
 
     def verify(self) -> List[str]:
-        """Compare membership and reports against a recomputation from
-        scratch and audit the dependency index
+        """Compare membership, reports and memoized records against a
+        recomputation from scratch and audit the dependency index
         (:meth:`DependencyGraph.verify`); return a list of discrepancies
         (empty when consistent).
 
@@ -877,6 +898,13 @@ class IncrementalEngine:
         problems += [f"empty result kept: {key!r}"
                      for key, diagnostics in self._results.items()
                      if not diagnostics]
+        # a fresh render reads names; muted, it records nothing
+        with untracked():
+            problems += [f"stale record for {key!r}: {diagnostic._record}"
+                         for key, diagnostics in self._results.items()
+                         for diagnostic in diagnostics
+                         if diagnostic._record is not None
+                         and diagnostic._record != encode_record(diagnostic)]
         problems += self._deps.verify(self._units)
         named = {id(obj) for key in self._units
                  for obj, _name in self._deps.reads(key)}

@@ -68,6 +68,12 @@ class Diagnostic:
     related: Any = None
     related_path: str = ""
 
+    #: the wire record (``repro.session.encode_record``) an incremental
+    #: engine rendered inside the unit's tracked run, or None.  A class
+    #: attribute, not a field, so ``dataclasses.replace`` never carries
+    #: a record over to a changed copy.
+    _record = None
+
     def __str__(self) -> str:
         where = f" [{self.feature.name}]" if self.feature else ""
         return f"{self.severity.value}: {self.element!r}{where}: {self.message}"

@@ -61,6 +61,7 @@ from ..obs import trace as _trace
 from ..session import Session, _as_severity
 from . import durability as _durability
 from .protocol import (
+    Encoded,
     ProtocolError,
     ServerError,
     decode_frame,
@@ -625,8 +626,13 @@ class ServerConnection:
                 session.generation.repair.converged
         return summary
 
-    def _verb_check(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Family-filtered checking over the repository's shared view."""
+    def _verb_check(self, params: Dict[str, Any]) -> Encoded:
+        """Family-filtered checking over the repository's shared view.
+
+        The document is spliced from the diagnostics' wire records
+        (:meth:`~repro.session.CheckResult.encode`) under both locks:
+        a record the view did not memoize is rendered from the model.
+        """
         state = self._repo_param(params)
         selection = state.selection(params.get("families"))
         severity = _severity_param(params)
@@ -636,10 +642,8 @@ class ServerConnection:
                 result = state.view(selection).check_result()
             else:
                 result = state.session.check(selection)
-            document = result.filtered(severity).to_json()
-            document["repo"] = state.name
-            document["epoch"] = state.epoch
-        return document
+            return Encoded(result.filtered(severity).encode(
+                repo=state.name, epoch=state.epoch))
 
     def _verb_edit_txn(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """One atomic, epoch-guarded batch of edits."""
@@ -721,12 +725,8 @@ class ServerConnection:
                 continue
             result = state.view(spec["families"]).check_result() \
                 .filtered(spec["severity"])
-            document = result.to_json() if spec["full"] else {
-                "ok": result.ok,
-                "errors": len(result.errors),
-                "warnings": len(result.warnings),
-                "infos": len(result.infos),
-            }
+            document = Encoded(result.encode()) if spec["full"] \
+                else result.summary()
             conn.push_event(event_frame(
                 "diagnostics", repo=state.name, epoch=state.epoch,
                 touched=touched, data=document))
@@ -742,12 +742,14 @@ class ServerConnection:
                 "severity": _severity_param(params),
                 "full": bool(params.get("full", False))}
         with state.lock, self.server._edit_lock:
-            result = state.view(spec["families"]).check_result()
+            # counted as the events will be: with the watch's own filter
+            summary = state.view(spec["families"]).check_result() \
+                .filtered(spec["severity"]).summary()
             self.watching[state.name] = spec
             state.watchers[self.id] = self
             return {"repo": state.name, "watching": True,
-                    "epoch": state.epoch, "errors": len(result.errors),
-                    "warnings": len(result.warnings)}
+                    "epoch": state.epoch, "errors": summary["errors"],
+                    "warnings": summary["warnings"]}
 
     def _verb_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Server-wide stats; with ``repo``, that session's stats dict

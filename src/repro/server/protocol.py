@@ -92,10 +92,36 @@ class ServerError(Exception):
         self.data = data or {}
 
 
+class Encoded:
+    """A frame value already encoded as compact JSON text.
+
+    :func:`encode_frame` splices it verbatim where it is a top-level
+    frame value (a response's ``result``, an event's ``data``), so a
+    check document spliced from memoized records is never rebuilt as a
+    dict and dumped again.  The text must be what :func:`encode_frame`
+    would write for the value itself."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+#: no whitespace, keys in build order, non-ASCII escaped
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_frame(payload: Dict[str, Any]) -> bytes:
-    """One wire frame: compact JSON plus the line terminator."""
-    return (json.dumps(payload, separators=(",", ":"),
-                       sort_keys=False) + "\n").encode("utf-8")
+    """One wire frame: compact JSON plus the line terminator, with any
+    top-level :class:`Encoded` value spliced in as it is."""
+    if any(type(value) is Encoded for value in payload.values()):
+        text = "{" + ",".join(
+            _compact(key) + ":" + (value.text if type(value) is Encoded
+                                   else _compact(value))
+            for key, value in payload.items()) + "}"
+    else:
+        text = _compact(payload)
+    return (text + "\n").encode("utf-8")
 
 
 def decode_frame(line: bytes, *,
@@ -129,8 +155,7 @@ def request_frame(request_id: int, verb: str,
     return {"id": request_id, "verb": verb, "params": params or {}}
 
 
-def response_frame(request_id: Any,
-                   result: Dict[str, Any]) -> Dict[str, Any]:
+def response_frame(request_id: Any, result: Any) -> Dict[str, Any]:
     return {"id": request_id, "ok": True, "result": result}
 
 

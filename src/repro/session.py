@@ -21,6 +21,8 @@ those blocks over the generated model corpus.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .analysis import LintConfig, ModelLinter, RuleRegistry
@@ -109,16 +111,40 @@ class CheckResult:
     def as_validation_report(self) -> ValidationReport:
         return ValidationReport(diagnostics=self.diagnostics)
 
+    def summary(self) -> Dict[str, Any]:
+        """The document's head: ``ok`` and the count per severity, all
+        counted in one pass over the diagnostics."""
+        severities = list(map(_severity_of, chain.from_iterable(
+            self.by_family.values())))
+        errors = severities.count(Severity.ERROR)
+        return {"ok": not errors, "errors": errors,
+                "warnings": severities.count(Severity.WARNING),
+                "infos": severities.count(Severity.INFO)}
+
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "errors": len(self.errors),
-            "warnings": len(self.warnings),
-            "infos": len(self.infos),
-            "families": {
-                family: [_diagnostic_json(d) for d in diagnostics]
-                for family, diagnostics in self.by_family.items()},
-        }
+        document = self.summary()
+        document["families"] = {
+            family: [_diagnostic_json(d) for d in diagnostics]
+            for family, diagnostics in self.by_family.items()}
+        return document
+
+    def encode(self, **extra: Any) -> str:
+        """``to_json()`` with *extra* appended, as compact JSON text.
+
+        The text is what ``repro.server.protocol.encode_frame`` writes
+        for that dict, but it is spliced from one record per diagnostic
+        (:func:`encode_record`) instead of being built and dumped whole.
+        A diagnostic that an incremental engine rendered inside its
+        unit's tracked run carries its record; any other is rendered
+        now.
+        """
+        head = _compact(self.summary())[:-1]
+        families = ",".join(
+            f"{_compact(family)}:[{_records(diagnostics)}]"
+            for family, diagnostics in self.by_family.items())
+        tail = "".join(f",{_compact(key)}:{_compact(value)}"
+                       for key, value in extra.items())
+        return f'{head},"families":{{{families}}}{tail}}}'
 
     def render(self, format: str = "text") -> str:
         return render_check_document(self.to_json(), format)
@@ -165,6 +191,7 @@ def canonical_check_document(document: Dict[str, Any]) -> str:
 
 
 def _diagnostic_json(diagnostic: Diagnostic) -> Dict[str, Any]:
+    """The one wire record shape of a diagnostic."""
     record = {
         "severity": diagnostic.severity.value,
         "code": diagnostic.code,
@@ -178,6 +205,31 @@ def _diagnostic_json(diagnostic: Diagnostic) -> Dict[str, Any]:
         record["related"] = repr(diagnostic.related)
         record["related_path"] = diagnostic.related_path
     return record
+
+
+#: compact JSON with ``encode_frame``'s settings: no whitespace, keys in
+#: build order, non-ASCII escaped
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+_severity_of = attrgetter("severity")
+
+
+def encode_record(diagnostic: Diagnostic) -> str:
+    """One diagnostic's wire record: :func:`_diagnostic_json` as compact
+    JSON, so ``[`` + records joined by ``,`` + ``]`` is the text of
+    dumping the list.
+
+    Rendering reads the model only through the kernel's read hook
+    (``model_path`` reads names with ``eget``, and an element's ``repr``
+    reports its name), so an incremental engine that renders inside a
+    unit's tracked run records every read the record depends on."""
+    return _compact(_diagnostic_json(diagnostic))
+
+
+def _records(diagnostics: List[Diagnostic]) -> str:
+    # a memoized record is never empty
+    return ",".join([diagnostic._record or encode_record(diagnostic)
+                     for diagnostic in diagnostics])
 
 
 class Session:

@@ -4,11 +4,14 @@ The engine takes element membership from the model index's enter/leave
 transitions and assembles reports from its non-empty results only.
 Each case below drives one path through that protocol and then asserts
 both oracles: :meth:`IncrementalEngine.verify` (membership against a
-full containment walk, reports against a scan of every unit) and the
-multiset equality with the batch checkers the property suite uses.
+full containment walk, reports against a scan of every unit, memoized
+wire records against a fresh render) and the multiset equality with the
+batch checkers the property suite uses.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -18,7 +21,8 @@ from repro.generate import demo_generator, demo_package
 from repro.incremental import IncrementalEngine, report_signature
 from repro.mof import Model, instances_of
 from repro.mof.txn import transaction
-from repro.mof.validate import ValidationReport, validate_tree
+from repro.mof.validate import (Diagnostic, Severity, ValidationReport,
+                                validate_tree)
 from repro.ocl.invariants import ConstraintSet
 from repro.session import Session
 from repro.uml.classifiers import Clazz
@@ -170,12 +174,71 @@ def test_quarantined_unit_keeps_its_position(library):
     assert engine.verify() == []
     # each crash report sits where its unit does, not after the others
     assert report.diagnostics[-1].code != "checker-crashed"
+    # a crash report is built outside any tracked run, so its record is
+    # rendered when the document is: a rename during the backoff shows
+    crashed[0].element.name = "renamed-in-backoff"
+
+    def crash_records(document):
+        return [record for records in document["families"].values()
+                for record in records if record["code"] == "checker-crashed"]
+
+    encoded = crash_records(json.loads(engine.check_result().encode()))
+    assert encoded == crash_records(engine.check_result().to_json())
+    assert any("renamed-in-backoff" in record["element"]
+               for record in encoded)
     for _ in range(10):
         if not engine.quarantined():
             break
         engine.revalidate()
     assert not engine.quarantined()
     assert_consistent(engine)
+
+
+def test_raw_rename_leaves_a_stale_record_until_a_kernel_rename(library):
+    """Each diagnostic's wire record is rendered in its unit's tracked
+    run.  A raw write notifies no one, so verify() finds the record
+    stale; a rename through the kernel reruns the unit."""
+    model, root, engine = library
+    book = shelves_with_books(root)[0].books[0]
+    book.name = "before"
+    book.pages = -1
+    assert_consistent(engine)
+    book._slots["name"] = "raw"
+    problems = engine.verify()
+    assert problems
+    assert all(problem.startswith("stale record") for problem in problems)
+    assert any("<dyn:GBook 'before'>" in problem for problem in problems)
+    book.name = "after"
+    assert_consistent(engine)
+    records = [d._record for d in engine.report().diagnostics
+               if d.element is book]
+    assert records
+    assert all("<dyn:GBook 'after'>" in record for record in records)
+
+
+def test_record_reads_join_the_unit_reads():
+    """A rule whose diagnostic has no path reads no name, but its record
+    shows the element's repr: rendered inside the tracked run, that read
+    is recorded, so a rename reruns the unit and refreshes the record."""
+    registry = RuleRegistry()
+
+    @lint_rule("T002", "every-class", "model", registry=registry)
+    def every_class(root, ctx):
+        for clazz in instances_of(root, Clazz):
+            yield Diagnostic(Severity.WARNING, clazz, "a class", code="T002")
+
+    factory = ModelFactory("named")
+    clazz = factory.clazz("A")
+    model = Model("urn:named")
+    model.add_root(factory.model)
+    engine = IncrementalEngine(model, structural=False, invariants=False,
+                               wellformed=False, registry=registry)
+    engine.revalidate()
+    clazz.name = "Renamed"
+    (diagnostic,) = engine.revalidate().diagnostics
+    assert "'Renamed'" in diagnostic._record
+    assert engine.verify() == []
+    engine.detach()
 
 
 def test_family_without_diagnostics_is_listed_empty():

@@ -6,6 +6,7 @@ byte-for-byte over TCP; the TCP-specific tests cover framing recovery,
 disconnects and true multi-client concurrency on real sockets.
 """
 
+import itertools
 import json
 import random
 import sys
@@ -14,14 +15,18 @@ from collections import Counter
 
 import pytest
 
+from repro.generate import EditFuzzer, demo_generator, uml_generator
+from repro.mof.txn import transaction
 from repro.server import (
     InProcessClient,
     ModelServer,
     RemoteError,
     TcpClient,
     VERBS,
+    encode_frame,
     serve_tcp,
 )
+from repro.server.protocol import event_frame, request_frame, response_frame
 from repro.session import Session
 
 
@@ -538,6 +543,16 @@ class TestEditTxn:
             watcher.close()
             editor.close()
 
+    def test_watch_reply_counts_with_its_own_severity_filter(self, server):
+        server.attach("main", Session.generate("uml", size=150, seed=4,
+                                               repair=False))
+        with InProcessClient(server) as client:
+            assert client.request("check", repo="main")["warnings"] > 0
+            errors = client.request("check", repo="main", severity="error")
+            reply = client.request("watch", repo="main", severity="error")
+            assert (reply["errors"], reply["warnings"]) == \
+                (errors["errors"], 0)
+
     @pytest.mark.parametrize("bad", [{"severity": "fatal"},
                                      {"families": ["nope"]}],
                              ids=["severity", "families"])
@@ -595,6 +610,139 @@ class TestEditTxn:
             client.request("check", repo="main")
             moved = client.request("stats", repo="main")["engine"]["index"]
             assert moved == counted() and moved != index
+
+
+# ---------------------------------------------------------------------------
+# spliced frames
+# ---------------------------------------------------------------------------
+
+class RawClient:
+    """A connection that keeps each frame as the bytes it writes."""
+
+    def __init__(self, server):
+        self.frames = []
+        self._ids = itertools.count(1)
+        self._conn = server.connect(
+            lambda frame: self.frames.append(encode_frame(frame)))
+
+    def request(self, verb, **params):
+        """(request id, response line) of one request."""
+        request_id = next(self._ids)
+        self._conn.handle_line(
+            encode_frame(request_frame(request_id, verb, params)))
+        line = self.frames.pop()
+        assert json.loads(line)["ok"], line
+        return request_id, line
+
+
+#: the check requests made after every edit
+SPLICED_CHECKS = ({}, {"families": ["invariant", "wellformed", "lint"]},
+                  {"severity": "error"}, {"severity": "warning"},
+                  {"incremental": False})
+
+
+def dict_check_frame(state, request_id, params):
+    """The response as the dict path encoded it: ``to_json()`` plus
+    ``repo`` and ``epoch``."""
+    selection = state.selection(params.get("families"))
+    if params.get("incremental", True):
+        result = state.views[selection].check_result()
+    else:
+        result = state.session.check(selection)
+    document = result.filtered(params.get("severity")).to_json()
+    document["repo"] = state.name
+    document["epoch"] = state.epoch
+    return encode_frame(response_frame(request_id, document))
+
+
+class TestSplicedFrames:
+    """``check`` responses and full ``watch`` events are spliced from the
+    records each diagnostic's unit rendered; every frame must be the
+    bytes the dict path writes, with every record rendered afresh."""
+
+    @staticmethod
+    def edit(state, editor, watcher, ops):
+        """Commit *ops*, then compare every check variant and the watch
+        event the commit pushed; return the default check document."""
+        _, line = editor.request("edit-txn", repo=state.name,
+                                 base_epoch=state.epoch, ops=ops)
+        touched = json.loads(line)["result"]["touched"]
+        (event,) = watcher.frames
+        watcher.frames.clear()
+        served = {}
+        for params in SPLICED_CHECKS:
+            request_id, line = editor.request("check", repo=state.name,
+                                              **params)
+            assert line == dict_check_frame(state, request_id, params), \
+                params
+            served[json.dumps(params)] = json.loads(line)["result"]
+        document = served["{}"]
+        view = state.views[state.selection(None)]
+        assert event == encode_frame(event_frame(
+            "diagnostics", repo=state.name, epoch=state.epoch,
+            touched=touched, data=view.check_result().to_json()))
+        assert json.loads(event)["data"] == {
+            key: value for key, value in document.items()
+            if key not in ("repo", "epoch")}
+        assert view.verify() == []
+        return document
+
+    @staticmethod
+    def open(server, name, session):
+        server.attach(name, session)
+        state = server.repo(name)
+        editor, watcher = RawClient(server), RawClient(server)
+        watcher.request("watch", repo=name, full=True)
+        return state, editor, watcher
+
+    @pytest.mark.parametrize("package", ["demo", "uml"])
+    def test_fuzzed_edits(self, server, package):
+        generator = (demo_generator if package == "demo"
+                     else uml_generator)(seed=7)
+        root = generator.generate(150)
+        state, editor, watcher = self.open(server, "main", Session(root))
+        fuzzer = EditFuzzer(root, seed=17, generator=generator)
+        for _ in range(8):
+            # the fuzzer's kernel edits land as an edit-txn's do, under
+            # both locks and in one transaction; an empty edit-txn then
+            # commits the epoch and pushes the event
+            with state.lock, server._edit_lock, transaction(state.model):
+                fuzzer.apply_random_edits(3)
+            self.edit(state, editor, watcher, [])
+
+    def test_renames_along_a_diagnostic_path(self, server):
+        state, editor, watcher = self.open(
+            server, "main", Session.generate("demo", size=120, seed=3,
+                                             repair=True))
+        book = state.model.index().resolve_eid(book_eids(state, 1)[0])
+        shelf = book.container
+        library = shelf.container
+        foreign = "B\u00fcch\u00df\u65e5"     # escaped on the wire
+        self.edit(state, editor, watcher, [pages_op(book.eid, -3)])
+        for element, name in ((book, "Renamed"), (shelf, "Shelved"),
+                              (library, "Lib"), (book, foreign)):
+            document = self.edit(state, editor, watcher,
+                                 [rename_op(element.eid, name)])
+        (record,) = [record for record in document["families"]["invariant"]
+                     if record["element"].startswith("<dyn:GBook")
+                     and "positive-pages" in record["message"]]
+        assert record["path"] == f"Lib/Shelved/{foreign}"
+        assert record["element"] == f"<dyn:GBook '{foreign}'>"
+
+    def test_rename_of_a_related_class(self, server):
+        from test_analysis_consistency import bank_model
+        factory, _ = bank_model(defects=("unresolved",))
+        state, editor, watcher = self.open(server, "bank",
+                                           Session(factory.model))
+        (finding,) = [diagnostic for diagnostic
+                      in state.session.check(["consistency"]).diagnostics
+                      if diagnostic.code == "XD001"]
+        document = self.edit(state, editor, watcher,
+                             [rename_op(finding.related.eid, "Konto")])
+        (record,) = [record for record in document["families"]["consistency"]
+                     if record["code"] == "XD001"]
+        assert "Konto" in record["related"]
+        assert record["related_path"].endswith("/Konto")
 
 
 # ---------------------------------------------------------------------------

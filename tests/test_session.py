@@ -8,6 +8,8 @@ model corpus (:mod:`repro.generate`).  The corpus loops below cover
 100+ (model, family) cases.
 """
 
+import json
+
 import pytest
 
 from repro.analysis import ModelLinter
@@ -163,6 +165,20 @@ class TestSessionSurface:
             for record in diagnostics:
                 assert {"severity", "code", "message", "path",
                         "element", "hint"} <= set(record)
+
+    @pytest.mark.parametrize("generator", [demo_generator, uml_generator],
+                             ids=["demo", "uml"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_encode_is_the_json_document(self, generator, seed):
+        # a full pass memoizes no record: every one is rendered on the spot
+        result = Session(generator(seed).generate(80)).check()
+        assert result.diagnostics
+        text = result.encode()
+        assert json.loads(text) == result.to_json()
+        assert text == json.dumps(result.to_json(), separators=(",", ":"))
+        filtered = result.filtered("error")
+        assert json.loads(filtered.encode(repo="r", epoch=2)) == \
+            {**filtered.to_json(), "repo": "r", "epoch": 2}
 
     def test_load_from_file(self, tmp_path):
         from repro.uml import ModelFactory
