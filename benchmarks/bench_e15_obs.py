@@ -16,12 +16,10 @@ Set ``REPRO_BENCH_QUICK=1`` (CI smoke) to run a reduced size/round count.
 
 import os
 import random
-import statistics
-import time
 
 from repro import obs
 from repro.incremental import IncrementalEngine
-from workloads import make_sized_pim
+from workloads import make_sized_pim, paired_medians
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 N_CLASSES = 40 if QUICK else 200
@@ -29,24 +27,6 @@ N_ROUNDS = 30 if QUICK else 100
 N_EDITS = 6 if QUICK else 16
 MAX_OVERHEAD = 1.05          # public gated path <= 105% of _impl path
 EPSILON_MS = 0.05            # absolute slack for sub-millisecond medians
-
-
-def _paired_medians(public_fn, impl_fn, rounds):
-    """Interleave the two paths, alternating which goes first each
-    round, so drift and cache effects hit both equally."""
-    public_fn()
-    impl_fn()                   # warm both paths before timing
-    public_times, impl_times = [], []
-    for index in range(rounds):
-        order = [(public_fn, public_times), (impl_fn, impl_times)]
-        if index % 2:
-            order.reverse()
-        for fn, bucket in order:
-            started = time.perf_counter()
-            fn()
-            bucket.append(time.perf_counter() - started)
-    return (statistics.median(public_times) * 1e3,
-            statistics.median(impl_times) * 1e3)
 
 
 def test_e15_disabled_overhead_under_5_percent():
@@ -72,7 +52,7 @@ def test_e15_disabled_overhead_under_5_percent():
 
     rows = []
     try:
-        public_ms, impl_ms = _paired_medians(
+        public_ms, impl_ms = paired_medians(
             lambda: edit_then(engine.revalidate),
             lambda: edit_then(engine._revalidate_impl),
             N_ROUNDS)
@@ -82,7 +62,7 @@ def test_e15_disabled_overhead_under_5_percent():
 
     from repro.codegen import lower_model
     from repro.codegen.lower import _lower_model_impl
-    public_ms, impl_ms = _paired_medians(
+    public_ms, impl_ms = paired_medians(
         lambda: lower_model(root),
         lambda: _lower_model_impl(root, None),
         max(10, N_ROUNDS // 2))

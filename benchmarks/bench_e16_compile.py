@@ -13,7 +13,9 @@ Measured:
   same models with closure-compiled invariants (the only public path —
   parse+compile cached per process) versus the tree-walking interpreter
   kept as the differential oracle (``Invariant._holds_interpreted``,
-  patched in for ``_holds_impl``).  Must show ≥5x.
+  patched in for ``_holds_impl``), the two interleaved round by round
+  with the first side alternating (``workloads.paired_medians``).  Must
+  show ≥5x.
 * ``Model.instances_of`` latency for a fixed-size answer across growing
   models — near-flat with the extent index (O(answer)), versus the
   O(model) containment scan.
@@ -40,7 +42,7 @@ from repro.mof import (
 )
 from repro.ocl import ConstraintSet, Invariant
 from repro.uml import Clazz
-from workloads import make_sized_pim
+from workloads import make_sized_pim, paired_medians
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 PIM_SIZE = 30 if QUICK else 100             # n_classes; ~10 elements each
@@ -73,13 +75,12 @@ def interpreted():
         Invariant._holds_impl = compiled
 
 
-def _median(run, rounds):
-    times = []
-    for _ in range(rounds):
-        started = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - started)
-    return statistics.median(times)
+def interpreted_side(run):
+    """*run* with ``Invariant.holds`` on the interpreter, as one call."""
+    def side():
+        with interpreted():
+            return run()
+    return side
 
 
 def test_e16_invariant_evaluation_speedup():
@@ -104,9 +105,9 @@ def test_e16_invariant_evaluation_speedup():
     with interpreted():
         go()
 
-    compiled_s = _median(go, N_ROUNDS)
-    with interpreted():
-        interpreted_s = _median(go, N_ROUNDS)
+    compiled_ms, interpreted_ms = paired_medians(
+        go, interpreted_side(go), N_ROUNDS)
+    compiled_s, interpreted_s = compiled_ms / 1e3, interpreted_ms / 1e3
     speedup = interpreted_s / compiled_s
     n = len(work)
     print(f"\nE16: repeated invariant evaluation, {PIM_SIZE}-class PIM, "
@@ -135,15 +136,15 @@ def test_e16_constraint_pass_speedup():
     expected = report_signature(run())
     with interpreted():
         assert report_signature(run()) == expected
-    compiled_s = _median(run, N_ROUNDS)
-    with interpreted():
-        interpreted_s = _median(run, N_ROUNDS)
-    speedup = interpreted_s / compiled_s
+    compiled_ms, interpreted_ms = paired_medians(
+        run, interpreted_side(run), N_ROUNDS)
+    speedup = interpreted_ms / compiled_ms
     floor = 2.0 if QUICK else 3.0
     print(f"\nE16: full constraint pass over indexed Model: "
-          f"compiled {compiled_s * 1e3:.2f} ms, "
-          f"interpreted {interpreted_s * 1e3:.2f} ms, "
-          f"{speedup:.1f}x (floor {floor}x)")
+          f"compiled {compiled_ms:.2f} ms, "
+          f"interpreted {interpreted_ms:.2f} ms, "
+          f"{speedup:.1f}x (floor {floor}x; medians of {N_ROUNDS} "
+          f"alternated rounds per side)")
     assert speedup >= floor
 
 

@@ -8,11 +8,37 @@ reproducible sizes.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+import statistics
+import time
+from typing import Callable, List, Tuple
 
 from repro.profiles import Task
 from repro.uml import Clazz, ModelFactory, StateMachine
 from repro.validation import Collaboration
+
+
+def paired_medians(a: Callable[[], object], b: Callable[[], object],
+                   rounds: int) -> Tuple[float, float]:
+    """Median milliseconds of *rounds* timed calls of *a* and of *b*.
+
+    The two are interleaved, and which goes first alternates each round,
+    so a slow phase of the host or a cache effect hits both sides
+    instead of deciding a ratio gate.  Each side runs once untimed
+    first, to warm both paths."""
+    a()
+    b()
+    a_times: List[float] = []
+    b_times: List[float] = []
+    for index in range(rounds):
+        order = [(a, a_times), (b, b_times)]
+        if index % 2:
+            order.reverse()
+        for fn, bucket in order:
+            started = time.perf_counter()
+            fn()
+            bucket.append(time.perf_counter() - started)
+    return (statistics.median(a_times) * 1e3,
+            statistics.median(b_times) * 1e3)
 
 
 def make_oo_design(n_classes: int, seed: int = 7) -> ModelFactory:

@@ -28,6 +28,10 @@ cross-object invariants of MOF models:
 1. *opposite consistency* — ``a in b.f  <=>  b in a.f.opposite``;
 2. *single container* — an element is contained by at most one containment
    slot at a time, and containment is acyclic.
+
+Model loads build through the ``_load_*`` construction primitives
+instead: the same writes and checks on elements no one can observe yet,
+without the notifications (see "Construction primitives" below).
 """
 
 from __future__ import annotations
@@ -243,8 +247,15 @@ class Feature:
         self.doc = doc
 
     @property
-    def many(self) -> bool:
-        return self.multiplicity.is_many
+    def multiplicity(self) -> Multiplicity:
+        return self._multiplicity
+
+    @multiplicity.setter
+    def multiplicity(self, multiplicity: Multiplicity) -> None:
+        self._multiplicity = multiplicity
+        # read on every kernel write and load: a plain attribute, kept
+        # in step with the multiplicity it derives from
+        self.many = multiplicity.is_many
 
     @property
     def required(self) -> bool:
@@ -930,6 +941,135 @@ def _set_value(obj: "Element", feature: Feature, value: Any) -> None:
     obj._slots[feature.name] = value
     kind = ChangeKind.SET if value is not None else ChangeKind.UNSET
     obj._notify(Notification(obj, feature, kind, old=old, new=value))
+
+
+# ---------------------------------------------------------------------------
+# Construction primitives (model loads, see repro.xmi.builder)
+# ---------------------------------------------------------------------------
+#
+# The slot writes of the edit protocol above, with every check it makes
+# on the same write in the same order (the ``kernel.write`` fault probe,
+# type conformance, the upper bound) but no notification.  Where
+# :func:`_link` would move, displace or unlink something, the link
+# primitives refuse the write before probing, and the caller takes the
+# edit protocol instead.
+
+def _load_set(obj: "Element", feature: Attribute, value: Any) -> None:
+    """Set single-valued attribute *feature* of *obj* to *value*.
+
+    Precondition of every ``_load_*`` primitive: each element it writes
+    was instantiated by the running load, and the only model holding it
+    is the one that load builds, which has no index, column store,
+    observer or repository before the load returns.  No one can have
+    seen such an element, so the write makes no notification."""
+    if _faults.ACTIVE is not None:
+        _faults.probe("kernel.write")
+    feature.check_type(value)
+    obj._slots[feature.name] = value
+
+
+def _load_extend(obj: "Element", feature: Attribute,
+                 values: Iterable[Any]) -> None:
+    """Append *values* to many-valued attribute *feature* of *obj*,
+    creating its (possibly empty) list; a value already present is
+    skipped, as :meth:`FeatureList.append` skips it.  Precondition as
+    :func:`_load_set`."""
+    items = _slot_list(obj, feature)._items
+    upper = feature.multiplicity.upper
+    for value in values:
+        if value in items:
+            continue
+        if _faults.ACTIVE is not None:
+            _faults.probe("kernel.write")
+        feature.check_type(value)
+        if upper is not None and len(items) >= upper:
+            raise MultiplicityError(
+                f"feature '{feature.name}' accepts at most {upper} values")
+        items.append(value)
+
+
+def _load_link(source: "Element", feature: Reference,
+               target: "Element") -> bool:
+    """Link ``source --feature--> target`` and its opposite as
+    :func:`_link` would, appending to a many-valued end, and return True.
+
+    Return False, having probed and written nothing, where :func:`_link`
+    would move, displace or unlink something: a containment or container
+    reference, a single-valued *feature* of *source* already held, or a
+    single-valued opposite of *target* held by another element.  A
+    many-valued *feature* must not hold *target* yet.  Precondition as
+    :func:`_load_set`, for both ends."""
+    if feature.containment:
+        return False
+    return _load_write(source, feature, target)
+
+
+def _load_adopt(parent: "Element", feature: Reference,
+                child: "Element") -> bool:
+    """Put *child* into containment *feature* of *parent*: the slot, the
+    child's container and containing feature, and the containment
+    opposite; return False as :func:`_load_link` does.
+
+    Precondition as :func:`_load_set`; besides, *child* has never been
+    contained or linked, so it is in no list and cannot be an ancestor
+    of *parent*: nothing to detach, no cycle."""
+    if not _load_write(parent, feature, child):
+        return False
+    object.__setattr__(child, "_container", parent)
+    object.__setattr__(child, "_containing_feature", feature)
+    return True
+
+
+def _load_write(source: "Element", feature: Reference,
+                target: "Element") -> bool:
+    """The body :func:`_load_link` and :func:`_load_adopt` share."""
+    many = feature.many
+    if not many and source._slots.get(feature.name) is not None:
+        return False
+    opposite = feature.opposite
+    if opposite is not None:
+        if opposite.containment:
+            return False
+        opposite_many = opposite.many
+        if not opposite_many:
+            holder = target._slots.get(opposite.name)
+            if holder is not None and holder is not source:
+                return False
+    if _faults.ACTIVE is not None:
+        _faults.probe("kernel.write")
+    feature.check_type(target)
+    if many:
+        items = _slot_list(source, feature)._items
+        upper = feature.multiplicity.upper
+        if upper is not None and len(items) >= upper:
+            raise MultiplicityError(
+                f"feature '{feature.name}' accepts at most {upper} values")
+        items.append(target)
+    else:
+        source._slots[feature.name] = target
+    if opposite is not None:
+        if opposite_many:
+            back = _slot_list(target, opposite)._items
+            if source not in back:
+                back.append(source)
+        else:
+            target._slots[opposite.name] = source
+    return True
+
+
+def _load_order(obj: "Element", feature: Reference,
+                values: List["Element"]) -> None:
+    """Move *values*, all in *obj*'s list for *feature*, to the front
+    in the given order, as successive :meth:`FeatureList.move` calls
+    would (opposites may have filled the list in another order).
+    Precondition as :func:`_load_set`."""
+    items = obj._slots[feature.name]._items
+    for position, value in enumerate(values):
+        if items[position] is not value:
+            if _faults.ACTIVE is not None:
+                _faults.probe("kernel.write")
+            items.pop(items.index(value))
+            items.insert(position, value)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
   :class:`CorruptModelError`)
 """
 
+from .builder import TypeRegistry
 from .ids import assign_ids
 from .jsonio import read_json, write_json
 from .persist import (
@@ -19,7 +20,7 @@ from .persist import (
     save_model,
     serialize_model,
 )
-from .reader import TypeRegistry, XmiReader, read_xml
+from .reader import XmiReader, read_xml
 from .writer import XmiWriter, write_xml
 
 __all__ = [

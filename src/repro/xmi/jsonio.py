@@ -1,17 +1,24 @@
 """JSON serialization of models — same information as the XML dialect, in
-a shape convenient for web tooling and diffing."""
+a shape convenient for web tooling and diffing.
+
+:class:`JsonReader` is the JSON format adapter over
+:class:`~repro.xmi.builder.ModelBuilder`, the construction path it shares
+with the XML reader (the builder's docstring says what a load does and
+does not notify).  :meth:`JsonReader.read_document` builds from a
+document already parsed, so a sealed file whose digest check parsed it
+is not parsed twice.
+"""
 
 from __future__ import annotations
 
 import json
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
-from ..mof.errors import RepositoryError
-from ..mof.kernel import Attribute, Element, MetaPackage, Reference
+from ..mof.kernel import Attribute, Element, MetaPackage
 from ..mof.repository import Model, Repository
 from ..obs import trace as _trace
+from .builder import ModelBuilder, traced_read
 from .ids import assign_ids
-from .reader import TypeRegistry, _stereotype_registry
 from .writer import _observe_io, _should_serialize, _type_label
 
 
@@ -112,89 +119,36 @@ def write_json(source: Union[Model, Element], *, indent: int = 2,
         uri=uri, name=name)
 
 
-class JsonReader:
-    def __init__(self, packages: Iterable[MetaPackage],
-                 profiles: Iterable = ()):
-        self.registry = TypeRegistry(packages)
-        self._stereotypes = _stereotype_registry(profiles)
-        self._by_id: Dict[str, Element] = {}
-        self._pending: List[tuple] = []
-
+class JsonReader(ModelBuilder):
     def read(self, text: str) -> Model:
-        document = json.loads(text)
-        model = Model(document.get("uri", "urn:model"),
-                      document.get("name"))
-        self._by_id.clear()
-        self._pending.clear()
-        for root_dict in document.get("roots", []):
-            model.add_root(self._build(root_dict))
-        self._resolve()
-        return model
+        return self.read_document(json.loads(text))
+
+    def read_document(self, document: Dict[str, Any]) -> Model:
+        """Build the model of an already parsed JSON document."""
+        return self.build(document.get("uri", "urn:model"),
+                          document.get("name"), document.get("roots", []),
+                          self._build)
 
     def _build(self, data: Dict[str, Any]) -> Element:
-        metaclass = self.registry.resolve(data["type"])
-        element = metaclass.instantiate()
-        doc_id = data.get("id")
-        if doc_id:
-            element.set_eid(doc_id)
-            self._by_id[doc_id] = element
+        element = self.element(data["type"], data.get("id"))
         for name, value in data.get("attrs", {}).items():
-            feature = metaclass.find_feature(name)
-            if not isinstance(feature, Attribute):
-                raise RepositoryError(f"'{metaclass.name}' has no attribute "
-                                      f"{name!r}")
+            feature = self.attribute(element, name)
             if feature.many:
-                element.eget(name).extend(value)
+                self.extend(element, feature, value)
             else:
-                element.eset(name, value)
+                self.set_value(element, feature, value)
         for name, child_dicts in data.get("children", {}).items():
-            feature = metaclass.find_feature(name)
-            if not isinstance(feature, Reference) or not feature.containment:
-                raise RepositoryError(f"'{metaclass.name}' has no containment "
-                                      f"feature {name!r}")
+            feature = self.containment(element, name)
             for child_dict in child_dicts:
-                child = self._build(child_dict)
-                if feature.many:
-                    element.eget(name).append(child)
-                else:
-                    element.eset(name, child)
+                self.adopt(element, feature, self._build(child_dict))
         for name, target_ids in data.get("refs", {}).items():
-            self._pending.append((element, name, target_ids))
+            self.defer(element, name, target_ids)
         for stereotype_dict in data.get("stereotypes", []):
-            label = (f"{stereotype_dict.get('profile', '')}:"
-                     f"{stereotype_dict.get('name', '')}")
-            stereotype = self._stereotypes.get(label)
-            if stereotype is None:
-                raise RepositoryError(
-                    f"unknown stereotype {label!r}; pass its profile to "
-                    f"the reader")
+            stereotype = self.stereotype(
+                f"{stereotype_dict.get('profile', '')}:"
+                f"{stereotype_dict.get('name', '')}")
             stereotype.apply(element, **stereotype_dict.get("values", {}))
         return element
-
-    def _resolve(self) -> None:
-        for element, name, target_ids in self._pending:
-            feature = element.meta.find_feature(name)
-            if not isinstance(feature, Reference):
-                raise RepositoryError(f"'{element.meta.name}' has no "
-                                      f"reference {name!r}")
-            targets = []
-            for target_id in target_ids:
-                target = self._by_id.get(target_id)
-                if target is None:
-                    raise RepositoryError(f"dangling reference {target_id!r}")
-                targets.append(target)
-            if feature.many:
-                collection = element.eget(name)
-                for target in targets:
-                    if target not in collection:
-                        collection.append(target)
-                # restore the serialized order (opposites may have
-                # pre-populated the collection in document order)
-                for position, target in enumerate(targets):
-                    if collection[position] is not target:
-                        collection.move(position, target)
-            elif targets and element.eget(name) is not targets[0]:
-                element.eset(name, targets[0])
 
 
 def read_json(text: str, packages: Iterable[MetaPackage], *,
@@ -202,12 +156,5 @@ def read_json(text: str, packages: Iterable[MetaPackage], *,
               repository: Optional[Repository] = None) -> Model:
     """Parse JSON text into a fresh :class:`Model` (see :func:`read_xml`
     for the *profiles* parameter)."""
-    if _trace.ON:
-        with _trace.span("xmi.read", format="json") as sp:
-            model = JsonReader(packages, profiles).read(text)
-        _observe_io(sp, "xmi.read", "json", model, len(text))
-    else:
-        model = JsonReader(packages, profiles).read(text)
-    if repository is not None:
-        repository.add_model(model)
-    return model
+    return traced_read("json", JsonReader(packages, profiles).read, text,
+                       len(text), repository)

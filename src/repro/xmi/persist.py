@@ -24,7 +24,9 @@ whitespace), built once and encoded once by the C encoder, with the
 ``"sha256"`` key of that exact text spliced in before the closing
 brace.  The loader parses the file, drops the key and re-dumps it
 canonically, so any key order or indentation verifies — files sealed
-pretty-printed (``indent=2``) by earlier releases still load.
+pretty-printed (``indent=2``) by earlier releases still load.  The model
+is built from that one parse.  An XML seal is looked for only in the
+text's last characters, since only whitespace may follow it.
 
 Fault-injection probes (``io.write``, ``io.write.partial``,
 ``io.replace``) cover the three crash windows; the chaos suite drives
@@ -44,12 +46,17 @@ from .. import faults as _faults
 from ..mof.errors import MofError
 from ..mof.kernel import Element, MetaPackage
 from ..mof.repository import Model, Repository
-from .jsonio import encode_json, read_json
+from .builder import traced_read
+from .jsonio import JsonReader, encode_json
 from .reader import read_xml
 from .writer import write_xml
 
 _XML_DIGEST_RE = re.compile(
     r"\n?<!--repro:sha256:([0-9a-f]{64})-->\s*$")
+
+#: The most characters a match of :data:`_XML_DIGEST_RE` spans before
+#: its trailing whitespace: the newline, then the 84-character comment.
+_XML_SEAL_CHARS = 85
 
 _DIGEST_KEY = "sha256"
 
@@ -104,7 +111,14 @@ def _seal_xml(payload: str) -> str:
 
 def _check_xml(text: str, path: str,
                backup: Optional[str]) -> str:
-    match = _XML_DIGEST_RE.search(text)
+    # only whitespace may follow the seal, so a match starts within
+    # the last _XML_SEAL_CHARS characters before the trailing
+    # whitespace; searching from there finds what a search from the
+    # first character finds
+    end = len(text)
+    while end and text[end - 1].isspace():
+        end -= 1
+    match = _XML_DIGEST_RE.search(text, max(0, end - _XML_SEAL_CHARS))
     if match is None:
         return text                      # unsealed file (foreign tool): parse as-is
     payload = text[:match.start()]
@@ -129,7 +143,8 @@ def _seal_json(document: dict) -> str:
 
 
 def _check_json(text: str, path: str,
-                backup: Optional[str]) -> str:
+                backup: Optional[str]) -> dict:
+    """The parsed document of *text*, its digest verified when present."""
     try:
         document = json.loads(text)
     except ValueError as exc:
@@ -144,7 +159,7 @@ def _check_json(text: str, path: str,
         raise CorruptModelError(
             path, "embedded SHA-256 digest does not match content "
                   "(truncated or modified after save)", backup)
-    return text                          # JsonReader ignores the digest key
+    return document                      # JsonReader ignores the digest key
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +286,12 @@ def _load_checked(path: str, packages: Iterable[MetaPackage],
     if not text.strip():
         raise CorruptModelError(path, "file is empty", backup)
     if fmt == "json":
-        payload = _check_json(text, path, backup)
+        document = _check_json(text, path, backup)
         try:
-            return read_json(payload, packages, profiles=profiles)
+            # the digest check parsed the text: build from that document
+            return traced_read(
+                "json", JsonReader(packages, profiles).read_document,
+                document, len(text), None)
         except CorruptModelError:
             raise
         except Exception as exc:  # noqa: BLE001 - typed re-raise

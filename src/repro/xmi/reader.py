@@ -1,122 +1,67 @@
 """XMI-style XML deserialization.
 
-Two-phase: first the containment tree is rebuilt (instantiating metaclasses
-resolved through a type registry and coercing primitive attribute values),
-then all cross-references are resolved by id.  Opposites and container
-back-pointers come back automatically through the kernel's link protocol.
+A format adapter over :class:`~repro.xmi.builder.ModelBuilder`: it walks
+the parsed document and hands the builder each element, attribute,
+many-valued item, containment child, stereotype application and
+cross-reference.  The builder rebuilds the containment tree first
+(instantiating metaclasses resolved through a type registry; this
+adapter coerces the primitive attribute values from their text), then
+resolves every cross-reference by id.  It writes the slots directly:
+container back-pointers and opposites are set by the same construction
+primitives, with no change notification (see the builder for why that
+is exact).  An XML attribute, ``<item>`` or child element that names no
+feature of its kind is an error, as in the JSON reader.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Iterable, Optional
 
 from ..mof.errors import RepositoryError
-from ..mof.kernel import (
-    Attribute,
-    DynamicElement,
-    Element,
-    MetaClass,
-    MetaPackage,
-    Reference,
-)
+from ..mof.kernel import Element, MetaPackage
 from ..mof.repository import Model, Repository
-from ..obs import trace as _trace
-from .writer import DOC_TAG, ITEM_TAG, ROOT_TAG, STEREOTYPE_TAG, _observe_io
+from .builder import ModelBuilder, traced_read
+from .writer import DOC_TAG, ITEM_TAG, ROOT_TAG, STEREOTYPE_TAG
 
 
-class TypeRegistry:
-    """Resolves ``pkg:Class`` labels to metaclasses."""
-
-    def __init__(self, packages: Iterable[MetaPackage]):
-        self._by_label: Dict[str, MetaClass] = {}
-        for package in packages:
-            self.add_package(package)
-
-    def add_package(self, package: MetaPackage) -> None:
-        for pkg in package.all_packages():
-            for name, classifier in pkg.classifiers.items():
-                if isinstance(classifier, MetaClass):
-                    self._by_label[f"{pkg.name}:{name}"] = classifier
-
-    def resolve(self, label: str) -> MetaClass:
-        metaclass = self._by_label.get(label)
-        if metaclass is None:
-            raise RepositoryError(f"unknown metaclass label {label!r}")
-        return metaclass
-
-
-class XmiReader:
-    def __init__(self, packages: Iterable[MetaPackage],
-                 profiles: Iterable = ()):
-        self.registry = TypeRegistry(packages)
-        self._stereotypes = _stereotype_registry(profiles)
-        self._by_id: Dict[str, Element] = {}
-        self._pending_refs: List[tuple] = []
-
+class XmiReader(ModelBuilder):
     def read(self, text: str) -> Model:
         doc = ET.fromstring(text)
         if doc.tag != DOC_TAG:
             raise RepositoryError(f"not an xmi document (root tag "
                                   f"{doc.tag!r})")
-        model = Model(doc.get("uri", "urn:model"), doc.get("name"))
-        self._by_id.clear()
-        self._pending_refs.clear()
-        for node in doc:
-            if node.tag == ROOT_TAG:
-                model.add_root(self._build_element(node))
-        self._resolve_references()
-        return model
-
-    # -- phase 1: containment tree ---------------------------------------
+        return self.build(doc.get("uri", "urn:model"), doc.get("name"),
+                          (node for node in doc if node.tag == ROOT_TAG),
+                          self._build_element)
 
     def _build_element(self, node: ET.Element) -> Element:
-        metaclass = self.registry.resolve(node.get("type", ""))
-        element = metaclass.instantiate()
-        doc_id = node.get("id")
-        if doc_id:
-            element.set_eid(doc_id)
-            self._by_id[doc_id] = element
+        element = self.element(node.get("type", ""), node.get("id"))
         for key, raw in node.attrib.items():
             if key in ("type", "id"):
                 continue
             if key.startswith("ref."):
-                self._pending_refs.append((element, key[4:], raw))
+                self.defer(element, key[4:], raw.split())
                 continue
-            feature = metaclass.find_feature(key)
-            if isinstance(feature, Attribute):
-                element.eset(key, feature.type.coerce(raw))
+            feature = self.attribute(element, key)
+            self.set_value(element, feature, feature.type.coerce(raw))
         for child in node:
-            if child.tag == STEREOTYPE_TAG:
+            tag = child.tag
+            if tag == STEREOTYPE_TAG:
                 self._apply_stereotype(element, child)
-                continue
-            if child.tag == ITEM_TAG:
-                feature_name = child.get("feature", "")
-                feature = metaclass.find_feature(feature_name)
-                if isinstance(feature, Attribute):
-                    value = feature.type.coerce(child.text or "")
-                    element.eget(feature_name).append(value)
-                continue
-            feature = metaclass.find_feature(child.tag)
-            if not isinstance(feature, Reference) or not feature.containment:
-                raise RepositoryError(
-                    f"'{metaclass.name}' has no containment feature "
-                    f"{child.tag!r}")
-            child_element = self._build_element(child)
-            if feature.many:
-                element.eget(child.tag).append(child_element)
+            elif tag == ITEM_TAG:
+                feature = self.attribute(element, child.get("feature", ""))
+                self.extend(element, feature,
+                            (feature.type.coerce(child.text or ""),))
             else:
-                element.eset(child.tag, child_element)
+                feature = self.containment(element, tag)
+                self.adopt(element, feature, self._build_element(child))
         return element
 
     def _apply_stereotype(self, element: Element,
                           node: ET.Element) -> None:
-        label = f"{node.get('profile', '')}:{node.get('name', '')}"
-        stereotype = self._stereotypes.get(label)
-        if stereotype is None:
-            raise RepositoryError(
-                f"unknown stereotype {label!r}; pass its profile to the "
-                f"reader")
+        stereotype = self.stereotype(
+            f"{node.get('profile', '')}:{node.get('name', '')}")
         values = {}
         for key, raw in node.attrib.items():
             if key in ("profile", "name"):
@@ -125,45 +70,6 @@ class XmiReader:
             values[key] = (definition.type.coerce(raw)
                            if definition is not None else raw)
         stereotype.apply(element, **values)
-
-    # -- phase 2: cross references ------------------------------------------
-
-    def _resolve_references(self) -> None:
-        for element, feature_name, raw in self._pending_refs:
-            feature = element.meta.find_feature(feature_name)
-            if not isinstance(feature, Reference):
-                raise RepositoryError(
-                    f"'{element.meta.name}' has no reference "
-                    f"{feature_name!r}")
-            targets = []
-            for ref_id in raw.split():
-                target = self._by_id.get(ref_id)
-                if target is None:
-                    raise RepositoryError(
-                        f"dangling reference {ref_id!r} in feature "
-                        f"'{feature_name}'")
-                targets.append(target)
-            if feature.many:
-                collection = element.eget(feature_name)
-                for target in targets:
-                    if target not in collection:
-                        collection.append(target)
-                # restore the serialized order (opposites may have
-                # pre-populated the collection in document order)
-                for position, target in enumerate(targets):
-                    if collection[position] is not target:
-                        collection.move(position, target)
-            elif targets:
-                if element.eget(feature_name) is not targets[0]:
-                    element.eset(feature_name, targets[0])
-
-
-def _stereotype_registry(profiles: Iterable) -> Dict[str, object]:
-    registry: Dict[str, object] = {}
-    for profile in profiles:
-        for stereotype in profile.stereotypes.values():
-            registry[f"{profile.name}:{stereotype.name}"] = stereotype
-    return registry
 
 
 def read_xml(text: str, packages: Iterable[MetaPackage], *,
@@ -176,12 +82,5 @@ def read_xml(text: str, packages: Iterable[MetaPackage], *,
     applications it may carry (e.g. ``[SPT]``).  If *repository* is
     given, the model is registered.
     """
-    if _trace.ON:
-        with _trace.span("xmi.read", format="xml") as sp:
-            model = XmiReader(packages, profiles).read(text)
-        _observe_io(sp, "xmi.read", "xml", model, len(text))
-    else:
-        model = XmiReader(packages, profiles).read(text)
-    if repository is not None:
-        repository.add_model(model)
-    return model
+    return traced_read("xml", XmiReader(packages, profiles).read, text,
+                       len(text), repository)

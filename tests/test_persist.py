@@ -21,6 +21,7 @@ from kernel_fixture import TEST_PKG, TBook, TLibrary
 from repro import faults
 from repro.mof import compare
 from repro.mof.repository import Model
+from repro.xmi import persist
 from repro.xmi import (
     CorruptModelError,
     atomic_write_text,
@@ -167,6 +168,17 @@ class TestCorruption:
         with pytest.raises(CorruptModelError, match="digest"):
             load_model(path, [TEST_PKG])
 
+    def test_garbled_digest_detected(self, model, tmp_path):
+        path = tmp_path / "m.xmi"
+        save_model(model, path)
+        text = path.read_text(encoding="utf-8")
+        start = text.index("sha256:") + len("sha256:")
+        flipped = "0" if text[start] != "0" else "1"
+        path.write_text(text[:start] + flipped + text[start + 1:],
+                        encoding="utf-8")
+        with pytest.raises(CorruptModelError, match="digest"):
+            load_model(path, [TEST_PKG])
+
     def test_empty_file_detected(self, tmp_path):
         path = tmp_path / "m.xmi"
         path.write_text("", encoding="utf-8")
@@ -199,6 +211,55 @@ class TestCorruption:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(CorruptModelError):
             load_model(path, [TEST_PKG], fallback_to_backup=True)
+
+
+class TestXmlSeal:
+    """The seal is looked for only in the text's last characters; what
+    loads, what is rejected and where the payload ends stay as a search
+    from the first character finds them."""
+
+    def test_sealed_file_with_trailing_whitespace_loads(self, model,
+                                                        tmp_path):
+        path = tmp_path / "m.xmi"
+        save_model(model, path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text + "  \n\t \n\n   ", encoding="utf-8")
+        assert roundtrip_identical(model, load_model(path, [TEST_PKG]))
+
+    def test_seal_followed_by_content_reads_as_unsealed(self, model,
+                                                        tmp_path):
+        # the digest no longer covers the file, so a garbled payload
+        # loads as a foreign tool's file would, as it always has
+        path = tmp_path / "m.xmi"
+        save_model(model, path)
+        text = path.read_text(encoding="utf-8").replace(
+            'name="b"', 'name="z"', 1)
+        path.write_text(text + "<!-- edited by hand -->\n",
+                        encoding="utf-8")
+        loaded = load_model(path, [TEST_PKG])
+        assert [book.name for book in loaded.roots[0].books] == \
+            ["a", "z", "c"]
+
+    @pytest.mark.parametrize("tail", [
+        "", "\n", "  \n\t", "\u3000\x0b\x1c\n", "\n\n" * 50,
+        "x", "\n<!-- note -->", "-->\n"])
+    @pytest.mark.parametrize("lead", ["\n", "", "\n\n"])
+    def test_payload_split_equals_a_whole_text_search(self, model, lead,
+                                                      tail):
+        payload = write_xml(model)
+        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        text = f"{payload}{lead}<!--repro:sha256:{digest}-->{tail}"
+        match = persist._XML_DIGEST_RE.search(text)
+        expected = text if match is None else text[:match.start()]
+        try:
+            got = persist._check_xml(text, "m.xmi", None)
+        except CorruptModelError:
+            got = CorruptModelError
+        if expected is not text and \
+                hashlib.sha256(expected.encode("utf-8")).hexdigest() \
+                != match.group(1):
+            expected = CorruptModelError
+        assert got == expected
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,30 @@ class TestXmlRoundtrip:
         with pytest.raises(RepositoryError):
             read_xml(bad, [UML])
 
+    @pytest.mark.parametrize("shelf, book, item", [
+        ('capcity="14"', "", ""),                       # misspelled
+        ("", 'pagez="3"', ""),                          # misspelled
+        ("", 'sequel="g2"', ""),                        # no ref. prefix
+        ("", "", '<item feature="tagz">x</item>'),       # unknown item
+    ], ids=["attribute", "attribute-on-book", "unprefixed-reference",
+            "item"])
+    def test_names_of_no_attribute_rejected(self, tmp_path, shelf, book,
+                                            item):
+        from repro.generate import demo_package
+        from repro.xmi import CorruptModelError, load_model
+        text = ('<xmi uri="urn:typo" name="typo">'
+                '<root type="genlib:GLibrary" id="g0" name="lib">'
+                f'<shelves type="genlib:GShelf" id="g1" name="s" {shelf}>'
+                '<books type="genlib:GBook" id="g2" name="b"/>'
+                f'<books type="genlib:GBook" id="g3" name="c" {book}>'
+                f'{item}</books></shelves></root></xmi>')
+        with pytest.raises(RepositoryError, match="has no attribute"):
+            read_xml(text, [demo_package()])
+        path = tmp_path / "typo.xmi"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorruptModelError, match="has no attribute"):
+            load_model(path, [demo_package()])
+
     def test_not_xmi_document(self):
         with pytest.raises(RepositoryError):
             read_xml("<other/>", [UML])
@@ -128,6 +152,16 @@ class TestJsonRoundtrip:
         book = TBook(name="b")      # pages stays at default 100 (unset)
         document = json.loads(write_json(book))
         assert "pages" not in document["roots"][0].get("attrs", {})
+
+    @pytest.mark.parametrize("attrs", [
+        {"capcity": 14}, {"books": ["g2"]}, {"tagz": ["x"]}])
+    def test_names_of_no_attribute_rejected(self, attrs):
+        import json
+        from repro.generate import demo_package
+        text = json.dumps({"uri": "urn:typo", "roots": [
+            {"type": "genlib:GShelf", "id": "g1", "attrs": attrs}]})
+        with pytest.raises(RepositoryError, match="has no attribute"):
+            read_json(text, [demo_package()])
 
     def test_xml_json_equivalent_content(self, uml_model):
         via_xml = read_xml(write_xml(uml_model), [UML])
