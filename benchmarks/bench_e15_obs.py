@@ -14,14 +14,12 @@ the span names and metric families recorded (instrumentation coverage).
 Set ``REPRO_BENCH_QUICK=1`` (CI smoke) to run a reduced size/round count.
 """
 
-import os
 import random
 
 from repro import obs
 from repro.incremental import IncrementalEngine
-from workloads import make_sized_pim, paired_medians
+from workloads import QUICK, make_sized_pim, paired_medians
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 N_CLASSES = 40 if QUICK else 200
 N_ROUNDS = 30 if QUICK else 100
 N_EDITS = 6 if QUICK else 16

@@ -25,7 +25,6 @@ relaxed speedup floor (CI machines are noisy).
 """
 
 import contextlib
-import os
 import statistics
 import time
 
@@ -42,9 +41,8 @@ from repro.mof import (
 )
 from repro.ocl import ConstraintSet, Invariant
 from repro.uml import Clazz
-from workloads import make_sized_pim, paired_medians
+from workloads import QUICK, make_sized_pim, paired_medians
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 PIM_SIZE = 30 if QUICK else 100             # n_classes; ~10 elements each
 N_ROUNDS = 3 if QUICK else 5
 REQUIRED_SPEEDUP = 3.0 if QUICK else 5.0

@@ -18,7 +18,6 @@ recovery rate over a seeded chaos run (must be 100%).
 Set ``REPRO_BENCH_QUICK=1`` (CI smoke) to run a reduced round count.
 """
 
-import os
 import time
 
 from repro.generate import EditFuzzer, demo_generator, demo_package
@@ -26,8 +25,8 @@ from repro import faults
 from repro.mof import compare, transaction
 from repro.mof.repository import Model
 from repro.xmi import read_json, write_json
+from workloads import QUICK
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 ROUNDS = 5 if QUICK else 15              # interleaved raw/txn pairs
 EDITS_PER_ROUND = 60 if QUICK else 200
 MAX_OVERHEAD = 0.35 if QUICK else 0.10   # quick mode: tiny, noisy samples

@@ -19,13 +19,12 @@ measure:
 Set ``REPRO_BENCH_QUICK=1`` (CI smoke) to run reduced sizes/seed bands.
 """
 
-import os
 import time
 
 from repro.generate import CoverageMap, generate_model, make_generator
 from repro.session import Session
+from workloads import QUICK
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 SIZES = [500, 2000] if QUICK else [1000, 10_000, 100_000]
 CONVERGENCE_SEEDS = 6 if QUICK else 25
 CONVERGENCE_SIZE = 200 if QUICK else 1000

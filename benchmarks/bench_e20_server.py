@@ -21,14 +21,13 @@ Set ``REPRO_BENCH_QUICK=1`` (CI smoke) to run a reduced corpus and
 editor band.
 """
 
-import os
 import threading
 import time
 
 from repro.server import InProcessClient, ModelServer, RemoteError
 from repro.session import Session
+from workloads import QUICK
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 CORPUS_SIZE = 2_000 if QUICK else 100_000
 EDITOR_COUNTS = [1, 2] if QUICK else [1, 4, 8]
 EDITS_PER_EDITOR = 8 if QUICK else 25

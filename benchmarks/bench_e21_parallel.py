@@ -4,11 +4,10 @@ changing a single output byte.
 The paper's acceptance workflow re-runs "a well defined set of tests"
 over the whole model at every abstraction level; on 10^5-element
 corpora that full pass is the bottleneck.  With ``repro.mof.columns``
-enabled, the structural and invariant families scan per-metaclass
-struct-of-arrays blocks and only re-validate flagged suspects; the
-allInstances-heavy constraint sets read whole attribute columns.  Same
-machine, same corpus, fewer cache misses: measurably faster than the
-per-object walk.
+enabled, the structural, invariant and constraint families evaluate
+per-metaclass struct-of-arrays blocks (suspect scans and invariant row
+plans) and only re-validate flagged elements.  Same machine, same
+corpus, fewer cache misses: measurably faster than the per-object walk.
 
 Byte-identity of the columnar document is asserted unconditionally —
 the speedup floor only on the full corpus.  Set ``REPRO_BENCH_QUICK=1``
@@ -16,38 +15,28 @@ the speedup floor only on the full corpus.  Set ``REPRO_BENCH_QUICK=1``
 """
 
 import json
-import os
 import time
 
 from repro.generate import demo_generator, demo_package
 from repro.mof import Model
 from repro.ocl.invariants import ConstraintSet
 from repro.session import Session
+from workloads import QUICK, paired_medians
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 CORPUS_SIZE = 3_000 if QUICK else 100_000
-REPEATS = 2 if QUICK else 3
-
-_corpus_cache = {}
+ROUNDS = 5 if QUICK else 3
 
 
-def _corpus_root(size=CORPUS_SIZE, seed=21):
-    """One *unrepaired* generated tree per size: full of diagnostics, so
-    the checkers do real reporting work, not just clean scans."""
-    if size not in _corpus_cache:
-        started = time.perf_counter()
-        root = demo_generator(seed).generate(size)
-        elapsed = time.perf_counter() - started
-        count = 1 + sum(1 for _ in root.all_contents())
-        print(f"\n  [corpus: {count:,} elements generated in {elapsed:.1f}s]")
-        _corpus_cache[size] = root
-    return _corpus_cache[size]
-
-
-def _session(root, **kwargs):
-    previous = getattr(root, "_model", None)
-    if previous is not None:
-        previous.remove_root(root)          # corpus is shared across tests
+def _session(seed=21, **kwargs):
+    """A session over a freshly generated *unrepaired* tree: full of
+    diagnostics, so the checkers do real reporting work, not just clean
+    scans.  Each side gets its own tree from the same seed, since a root
+    belongs to one model and the column store to the model."""
+    started = time.perf_counter()
+    root = demo_generator(seed).generate(CORPUS_SIZE)
+    elapsed = time.perf_counter() - started
+    count = 1 + sum(1 for _ in root.all_contents())
+    print(f"\n  [corpus: {count:,} elements generated in {elapsed:.1f}s]")
     model = Model("urn:bench:e21")
     model.add_root(root)
     pkg = demo_package()
@@ -65,29 +54,24 @@ def _doc(session):
         .to_json(), sort_keys=True)
 
 
-def _timed(fn, repeats=REPEATS):
-    best, result = None, None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
-
-
 def test_e21_columnar_single_core_win():
-    root = _corpus_root()
-    plain = _session(root)
-    object_time, object_doc = _timed(lambda: _doc(plain))
+    plain = _session()
+    columnar = _session(columnar=True)
+    docs = {}
 
-    columnar = _session(root, columnar=True)
-    _doc(columnar)                           # warm the column blocks
-    column_time, column_doc = _timed(lambda: _doc(columnar))
+    def object_pass():
+        docs["object"] = _doc(plain)
 
-    speedup = object_time / column_time if column_time else float("inf")
-    print(f"\n  [columnar: object {object_time*1000:.0f}ms vs columns "
-          f"{column_time*1000:.0f}ms -> {speedup:.2f}x]")
-    assert column_doc == object_doc          # not one byte different
+    def column_pass():
+        docs["columns"] = _doc(columnar)
+
+    # the untimed first call of each side also warms the column blocks
+    object_ms, column_ms = paired_medians(object_pass, column_pass, ROUNDS)
+    speedup = object_ms / column_ms if column_ms else float("inf")
+    print(f"\n  [columnar: object {object_ms:.0f}ms vs columns "
+          f"{column_ms:.0f}ms (medians of {ROUNDS} alternated rounds) "
+          f"-> {speedup:.2f}x]")
+    assert docs["columns"] == docs["object"]     # not one byte different
     if not QUICK:
         # the floor is deliberately modest: the win concentrates in the
         # clean majority (suspect scans), and unrepaired corpora keep

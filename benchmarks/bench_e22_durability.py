@@ -36,8 +36,8 @@ from repro.server import (InProcessClient, ModelServer, RemoteError,
                           RetryPolicy, TcpClient, TransportError, serve_tcp)
 from repro.server.durability import read_records
 from repro.session import Session, canonical_check_document
+from workloads import QUICK
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 CORPUS_SIZE = 2_000 if QUICK else 20_000
 WORKLOAD_ROUNDS = 40 if QUICK else 120
 LOG_LENGTHS = [20, 80] if QUICK else [50, 200, 800]

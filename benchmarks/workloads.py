@@ -7,6 +7,7 @@ reproducible sizes.
 
 from __future__ import annotations
 
+import os
 import random
 import statistics
 import time
@@ -15,6 +16,10 @@ from typing import Callable, List, Tuple
 from repro.profiles import Task
 from repro.uml import Clazz, ModelFactory, StateMachine
 from repro.validation import Collaboration
+
+#: ``REPRO_BENCH_QUICK=1`` (the CI smoke) runs every experiment at reduced
+#: sizes and round counts.
+QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
 
 def paired_medians(a: Callable[[], object], b: Callable[[], object],

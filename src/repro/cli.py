@@ -167,7 +167,8 @@ def _watch_pass(engine, model_path: str, fmt: str = "text",
     import time
 
     started = time.perf_counter()
-    report = engine.revalidate()
+    engine.revalidate()
+    report = engine.report()
     elapsed = (time.perf_counter() - started) * 1e3
     result = engine.check_result().filtered(severity)
     if fmt == "json":
@@ -212,6 +213,7 @@ def _watch_bench(engine, edits: int) -> int:
         element.eset("name", (old or "") + "~")
         started = time.perf_counter()
         engine.revalidate()
+        engine.report()
         timings.append(time.perf_counter() - started)
         element.eset("name", old)
         engine.revalidate()
@@ -763,9 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat warnings as failures")
     p.add_argument("--columnar", action="store_true",
                    help="enable the columnar extent store "
-                        "(repro.mof.columns) so allInstances-heavy OCL "
-                        "and the structural/invariant families scan "
-                        "contiguous columns")
+                        "(repro.mof.columns) so the structural and "
+                        "invariant families scan contiguous columns")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser(

@@ -59,6 +59,7 @@ from ..mof.validate import (
     ValidationReport,
     _check_multiplicities,
     audit_links,
+    check_invariant,
 )
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -121,8 +122,8 @@ class StructuralUnit(_Unit):
 
 
 class InvariantUnit(_Unit):
-    """One (invariant, element) pair, reproducing the diagnostics of
-    ``repro.mof.validate._check_invariants`` verbatim."""
+    """One (invariant, element) pair, reported by
+    :func:`repro.mof.validate.check_invariant` as the full pass does."""
 
     __slots__ = ("invariant", "element")
     kind = "invariant"
@@ -133,20 +134,7 @@ class InvariantUnit(_Unit):
 
     def run(self) -> List[Diagnostic]:
         report = ValidationReport()
-        invariant = self.invariant
-        try:
-            passed = invariant.holds(self.element)
-        except Exception as exc:  # invariant itself is broken
-            report.add(Severity.ERROR, self.element,
-                       f"invariant '{invariant.name}' raised: {exc}",
-                       code="invariant-error")
-            return report.diagnostics
-        if not passed:
-            report.add(invariant.severity, self.element,
-                       f"invariant '{invariant.name}' violated"
-                       + (f": {invariant.message}" if invariant.message
-                          else ""),
-                       code="invariant")
+        check_invariant(self.invariant, self.element, report)
         return report.diagnostics
 
 
@@ -339,7 +327,6 @@ class IncrementalEngine:
         self._roots_snapshot: Tuple[Element, ...] = ()
         self._structure_dirty = True
         self._quarantine: Dict[tuple, QuarantineEntry] = {}
-        self._txn_listener = None
         self.stats = EngineStats()
         self.model.observe(self._on_change)
         self._index = self.model.index()
@@ -378,33 +365,6 @@ class IncrementalEngine:
             self._external_reads.clear()
             self._external_readers.clear()
             self._attached = False
-        self.unbind_transactions()
-
-    def bind_transactions(self) -> None:
-        """Revalidate once per committed outermost transaction.
-
-        Notifications still mark units dirty as they stream in; binding
-        adds a commit listener so a whole edit burst is re-checked in one
-        pass when its transaction commits, instead of the caller polling.
-        Rollbacks need no special casing — replayed inverses are ordinary
-        notifications, so the dirty set unwinds with the model.
-        """
-        if self._txn_listener is not None:
-            return
-        from ..mof import txn as _txn
-
-        def on_txn_commit(txn: Any, _engine=self) -> None:
-            if _engine._attached and txn.op_count:
-                _engine.revalidate()
-
-        self._txn_listener = on_txn_commit
-        _txn.on_commit(on_txn_commit)
-
-    def unbind_transactions(self) -> None:
-        if self._txn_listener is not None:
-            from ..mof import txn as _txn
-            _txn.remove_listener(self._txn_listener)
-            self._txn_listener = None
 
     def __enter__(self) -> "IncrementalEngine":
         return self
@@ -756,17 +716,19 @@ class IncrementalEngine:
                        f"retry at pass {entry.retry_at})")
         return out
 
-    def revalidate(self) -> ValidationReport:
-        """Bring every cached result up to date; return the merged report.
+    def revalidate(self) -> None:
+        """Bring every cached result up to date (read them with
+        :meth:`report`, :meth:`report_by_kind` or :meth:`check_result`).
 
         When the observability layer is on, each pass is wrapped in an
         ``incremental.revalidate`` span and the cache hit/miss balance
         feeds the ``incremental.units.*`` counters.
         """
         if not _trace.ON:
-            return self._revalidate_impl()
+            self._revalidate_impl()
+            return
         with _trace.span("incremental.revalidate") as sp:
-            report = self._revalidate_impl()
+            self._revalidate_impl()
         sp.tag(rerun=self.stats.last_rerun, cached=self.stats.last_skipped)
         registry = _metrics.REGISTRY
         registry.counter(
@@ -780,9 +742,8 @@ class IncrementalEngine:
             "incremental.units.cached",
             help="check units served from cache (hits)").inc(
                 self.stats.last_skipped)
-        return report
 
-    def _revalidate_impl(self) -> ValidationReport:
+    def _revalidate_impl(self) -> None:
         self.stats.revalidations += 1
         if self._structure_dirty:
             self._sync_structure()
@@ -801,7 +762,6 @@ class IncrementalEngine:
             rerun += 1
         self.stats.last_rerun = rerun
         self.stats.last_skipped = len(self._units) - rerun
-        return self.report()
 
     def recompute_from_scratch(self) -> ValidationReport:
         """Run every unit afresh, ignoring and not touching the caches.

@@ -7,18 +7,17 @@ re-materialises each **exact-metaclass extent** as one
 :class:`ExtentColumns` block — per-feature columns over the extent's
 elements, in extent (insertion) order:
 
-* single-valued attribute → a flat list of *effective* values (the slot
-  value, or the feature default), compacted to an ``array('q')`` /
-  ``array('d')`` when every value is a plain int/float;
-* single-valued reference → a flat list of targets (``None`` when unset);
+* single-valued attribute → a list of *effective* values (the slot
+  value, or the feature default);
+* single-valued reference → a list of targets (``None`` when unset);
 * many-valued reference  → a list of target tuples;
 * many-valued attribute  → an ``array('l')`` of lengths (structural checks
   and ``->size()`` only need the counts).
 
-``allInstances``-heavy invariants and the structural checks then become
-tight loops over contiguous columns instead of per-object ``get()`` calls
-(see :meth:`ColumnStore.conforming_values`, the bulk fast path the OCL
-closure compiler uses, and :meth:`ColumnStore.scan_structural`).
+The full pass reads them in two places: the structural suspect scan
+(:meth:`ColumnStore.scan_structural`) and the invariant row plans of
+:mod:`repro.ocl.columns`, both tight loops over contiguous columns
+instead of per-object ``get()`` calls.
 
 Staleness protocol — blocks are built lazily on first read and
 **invalidated on write**:
@@ -33,10 +32,10 @@ Staleness protocol — blocks are built lazily on first read and
 * **Values** come from the model's notification stream: a write marks
   the written element's exact metaclass stale (the opposite side of a
   reference notifies on its own element).
-* While dependency tracking is active (``kernel._TRACKING``), all bulk
-  reads answer ``None`` so callers fall back to the per-object path the
-  incremental engine can observe.  A counting read probe alone (such as
-  ``repro.obs.enable()`` installs) does not switch them off.
+* While dependency tracking is active, ``Model.column_store()`` answers
+  ``None``, so callers take the per-object path the incremental engine
+  can observe.  A counting read probe alone (such as
+  ``repro.obs.enable()`` installs) does not switch the store off.
 
 Columns hold **no authority**: the object slots stay the single source of
 truth, a stale block is simply rebuilt from the extent on next read, and
@@ -48,10 +47,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
-from . import kernel as _kernel
-from .kernel import Attribute, Element, Feature, MetaClass, Reference
+from .kernel import Element, Feature, MetaClass, Reference
 from .notify import Notification
 
 if TYPE_CHECKING:                                   # pragma: no cover
@@ -116,9 +114,8 @@ class ExtentColumns:
                 kinds[name] = REF1
             else:
                 default = feature.default_value()
-                values = [_raw_single(e, feature, default)
-                          for e in elements]
-                columns[name] = _compact_attribute(feature, values)
+                columns[name] = [_raw_single(e, feature, default)
+                                 for e in elements]
                 kinds[name] = ATTR1
         self.columns = columns
         self.kinds = kinds
@@ -140,34 +137,14 @@ class ExtentColumns:
                 f"built={self.built}>")
 
 
-def _compact_attribute(feature: Attribute, values: List[Any]) -> Any:
-    """Pack an all-int/all-float attribute column into a typed array.
-
-    ``bool`` is excluded (``type(v) is int`` test): ``truthy`` must keep
-    raising on non-Boolean values, and an ``array('q')`` would launder
-    ``True`` into ``1``.
-    """
-    type_name = getattr(feature.type, "name", "")
-    try:
-        if type_name == "Integer" \
-                and all(type(v) is int for v in values):
-            return array("q", values)
-        if type_name == "Real" \
-                and all(type(v) is float for v in values):
-            return array("d", values)
-    except OverflowError:       # ints beyond 64 bits stay boxed
-        pass
-    return values
-
-
 class ColumnStore:
     """Per-extent columns over one :class:`~repro.mof.repository.Model`,
     invalidated from index membership transitions and change
     notifications, and rebuilt lazily on read.
 
     Created via ``Model.enable_columns()``; read through
-    :meth:`conforming_values` (OCL bulk path) and
-    :meth:`scan_structural` (structural suspect scan)."""
+    :meth:`scan_structural` (structural suspect scan) and the row plans
+    of :mod:`repro.ocl.columns`."""
 
     def __init__(self, model: "Model"):
         self.model = model
@@ -176,7 +153,6 @@ class ColumnStore:
         self._built = 0
         self.rebuilds = 0
         self.invalidations = 0
-        self.bulk_reads = 0
         model.observe(self._on_change)
         self._index.listeners.append(self._on_membership)
 
@@ -215,35 +191,6 @@ class ColumnStore:
             self._built += 1
             self.rebuilds += 1
         return block
-
-    # -- bulk reads --------------------------------------------------------
-
-    def conforming_values(self, metaclass: MetaClass,
-                          name: str) -> Optional[List[Any]]:
-        """The effective values of single-valued attribute *name* over all
-        elements conforming to *metaclass*, in ``instances_of`` order — or
-        ``None`` when the column path does not apply (tracking active,
-        no such feature, many-valued/reference feature, or a subclass
-        redefining the feature with a different shape)."""
-        if _kernel._TRACKING:
-            return None
-        feature = metaclass.find_feature(name)
-        if not isinstance(feature, Attribute) or feature.many:
-            return None
-        main = self.block(metaclass)
-        if main.kinds.get(name) != ATTR1:
-            return None
-        self.bulk_reads += 1
-        subclasses = metaclass.all_subclasses()
-        if not subclasses:
-            return main.columns[name]
-        out = list(main.columns[name])
-        for sub in subclasses:
-            block = self.block(sub)
-            if block.kinds.get(name) != ATTR1:
-                return None
-            out.extend(block.columns[name])
-        return out
 
     # -- structural suspect scan ------------------------------------------
 
@@ -285,7 +232,7 @@ class ColumnStore:
         if kind in (ATTR1, REF1):
             # a single slot holds 0 or 1 values and upper >= 1 always
             # accepts 1, so the only violation is None under lower >= 1
-            if multiplicity.lower >= 1 and not isinstance(column, array):
+            if multiplicity.lower >= 1:
                 for row, value in enumerate(column):
                     if value is None:
                         element = elements[row]
@@ -401,7 +348,6 @@ class ColumnStore:
             "bytes": total_bytes,
             "rebuilds": self.rebuilds,
             "invalidations": self.invalidations,
-            "bulk_reads": self.bulk_reads,
             "per_extent": per_extent,
         }
 

@@ -83,10 +83,14 @@ _READ_HOOK = None
 #: Nesting depth of dependency-tracked reads, raised and lowered by
 #: :func:`repro.incremental.tracking.collect_reads`.  Bulk fast paths
 #: (extent index, column store) answer without the per-element reads a
-#: tracker must record, so they test this depth rather than
-#: :data:`_READ_HOOK`: a counting probe such as the one
-#: ``repro.obs.enable()`` installs must not switch them off.
+#: tracker must record, so the gates in :mod:`repro.mof.repository` test
+#: this depth rather than :data:`_READ_HOOK`: a counting probe such as
+#: the one ``repro.obs.enable()`` installs must not switch them off.
 _TRACKING = 0
+
+#: Features added to any metaclass so far; a one-sided reference that
+#: found no partner naming it searches again once this has moved.
+_FEATURES_ADDED = 0
 
 
 def set_read_hook(hook):
@@ -342,6 +346,9 @@ class Reference(Feature):
         self.opposite_name = opposite
         self._resolved_target: Optional[MetaClass] = None
         self._resolved_opposite: Optional["Reference"] = None
+        #: the :data:`_FEATURES_ADDED` count at the last partner search
+        #: that found none (see :meth:`_pair_with_declaring_partner`)
+        self._unpaired_at = -1
 
     @property
     def target(self) -> "MetaClass":
@@ -386,8 +393,12 @@ class Reference(Feature):
 
     @property
     def opposite(self) -> Optional["Reference"]:
+        if self._resolved_opposite is not None:
+            return self._resolved_opposite
         if self.opposite_name is None:
-            return None
+            if self._unpaired_at == _FEATURES_ADDED \
+                    or not self._pair_with_declaring_partner():
+                return None
         if self._resolved_opposite is None:
             candidate = self.target.find_feature(self.opposite_name)
             if not isinstance(candidate, Reference):
@@ -403,6 +414,22 @@ class Reference(Feature):
             if candidate._resolved_opposite is None:
                 candidate._resolved_opposite = self
         return self._resolved_opposite
+
+    def _pair_with_declaring_partner(self) -> bool:
+        """Pair this end, declared without ``opposite=``, with a reference
+        on its target that names it as its opposite, as reading that
+        partner's :attr:`opposite` first would; False when none does.
+
+        Run on the first read, not at declaration, so string targets
+        resolve only once both classes exist.  A miss is remembered
+        until the next feature is added to any metaclass."""
+        for feature in self.target.all_features().values():
+            if isinstance(feature, Reference) and feature is not self \
+                    and feature.opposite_name == self.name \
+                    and feature.target.find_feature(self.name) is self:
+                return feature.opposite is self
+        self._unpaired_at = _FEATURES_ADDED
+        return False
 
     def check_type(self, value: Any) -> None:
         if value is None:
@@ -474,6 +501,7 @@ class MetaClass:
         return f"{self.package.qualified_name}.{self.name}"
 
     def add_feature(self, feature: Feature) -> Feature:
+        global _FEATURES_ADDED
         if not feature.name:
             raise MetamodelError("feature must be named before being added")
         if feature.name in self.own_features:
@@ -489,6 +517,7 @@ class MetaClass:
             )
         feature.owner = self
         self.own_features[feature.name] = feature
+        _FEATURES_ADDED += 1
         self._invalidate_cache()
         return feature
 

@@ -99,23 +99,12 @@ class Model:
 
     def column_store(self) -> Optional["ColumnStore"]:
         """The model's :class:`~repro.mof.columns.ColumnStore`, or ``None``
-        when columns are not enabled."""
-        return self._columns
-
-    def column_values(self, metaclass: MetaClass, name: str):
-        """Bulk read: effective values of single attribute *name* over all
-        conforming instances, in ``instances_of`` order — or ``None``
-        whenever the per-object path must be used instead (columns off,
-        dependency tracking active, or the feature shape does not
-        columnify).
-
-        This is the entry point the OCL closure compiler's
-        ``allInstances`` fast path calls (see
-        :meth:`repro.ocl.evaluator.Environment.columns`)."""
-        store = self._columns
-        if store is None or _kernel._TRACKING:
+        when columns are not enabled or dependency tracking is active
+        (incremental tracking must observe the per-element reads a bulk
+        scan would hide, as in :meth:`instances_of`)."""
+        if _kernel._TRACKING:
             return None
-        return store.conforming_values(metaclass, name)
+        return self._columns
 
     def all_elements(self) -> Iterator[Element]:
         """Every element in the model: the roots and all their contents."""

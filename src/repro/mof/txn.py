@@ -28,7 +28,7 @@ Properties and limitations:
 * **Scope** is advisory: the journal hooks are process-wide (they chain
   any previously installed notify hook, e.g. the observability layer's,
   so both see the stream).  The ``scope`` argument documents intent and
-  is carried on the transaction for commit listeners.
+  is carried on the transaction for its hooks.
 * Root attachment (``Model.add_root``/``remove_root``) is not a feature
   write and bypasses notifications; it is journaled through the
   dedicated root hook (:func:`repro.mof.repository.set_root_hook`).
@@ -36,10 +36,9 @@ Properties and limitations:
   editing it inside an open transaction makes that edit irreversible and
   rollback will report it via :class:`TransactionError`.
 
-Commit listeners registered with :func:`on_commit` fire once per
-*outermost* commit with the committed transaction — the hook the
-incremental engine and index maintenance use to run once per logical
-edit burst instead of once per notification.
+Hooks registered with :meth:`Transaction.on_commit` /
+:meth:`Transaction.on_rollback` run with the transaction when that
+transaction (outermost or nested) commits or rolls back.
 """
 
 from __future__ import annotations
@@ -73,28 +72,6 @@ _STACK: List["Transaction"] = []
 #: True while a rollback replays inverses — replay mutations must not be
 #: journaled or they would undo themselves.
 _REPLAYING = False
-
-_COMMIT_LISTENERS: List[Callable[["Transaction"], None]] = []
-_ROLLBACK_LISTENERS: List[Callable[["Transaction"], None]] = []
-
-
-def on_commit(listener: Callable[["Transaction"], None]) -> None:
-    """Call *listener(txn)* after every outermost commit."""
-    _COMMIT_LISTENERS.append(listener)
-
-
-def on_rollback(listener: Callable[["Transaction"], None]) -> None:
-    """Call *listener(txn)* after every rollback (outermost or savepoint
-    unwind via exception)."""
-    _ROLLBACK_LISTENERS.append(listener)
-
-
-def remove_listener(listener: Callable[["Transaction"], None]) -> None:
-    """Drop *listener* from both listener lists (no-op if absent)."""
-    if listener in _COMMIT_LISTENERS:
-        _COMMIT_LISTENERS.remove(listener)
-    if listener in _ROLLBACK_LISTENERS:
-        _ROLLBACK_LISTENERS.remove(listener)
 
 
 def current_transaction() -> Optional["Transaction"]:
@@ -331,9 +308,6 @@ class Transaction:
         self._finish("committed")
         for hook in self._commit_hooks:
             hook(self)
-        if self.parent is None:
-            for listener in tuple(_COMMIT_LISTENERS):
-                listener(self)
         self._record_metrics("commit")
 
     def rollback(self) -> None:
@@ -345,8 +319,6 @@ class Transaction:
             self._finish("rolled-back")
         for hook in self._rollback_hooks:
             hook(self)
-        for listener in tuple(_ROLLBACK_LISTENERS):
-            listener(self)
         self._record_metrics("rollback", ops)
 
     # -- internals --------------------------------------------------------

@@ -177,23 +177,30 @@ def audit_links(element: Element, report: ValidationReport) -> None:
     _check_containment(element, report)
 
 
+def check_invariant(invariant: Any, element: Element,
+                    report: ValidationReport) -> None:
+    """Add the outcome of one (invariant, element) pair to *report*: an
+    ``invariant-error`` when evaluating the invariant raises (the
+    invariant itself is broken), an ``invariant`` diagnostic at its
+    severity when it does not hold, nothing when it holds."""
+    try:
+        passed = invariant.holds(element)
+    except Exception as exc:  # invariant itself is broken
+        report.add(Severity.ERROR, element,
+                   f"invariant '{invariant.name}' raised: {exc}",
+                   code="invariant-error")
+        return
+    if not passed:
+        report.add(invariant.severity, element,
+                   f"invariant '{invariant.name}' violated"
+                   + (f": {invariant.message}" if invariant.message else ""),
+                   code="invariant")
+
+
 def _check_invariants(element: Element, report: ValidationReport) -> None:
     for metaclass in [element.meta] + element.meta.all_superclasses():
         for invariant in metaclass.invariants:
-            try:
-                passed = invariant.holds(element)
-            except Exception as exc:  # invariant itself is broken
-                report.add(
-                    Severity.ERROR, element,
-                    f"invariant '{invariant.name}' raised: {exc}",
-                    code="invariant-error")
-                continue
-            if not passed:
-                report.add(
-                    invariant.severity, element,
-                    f"invariant '{invariant.name}' violated"
-                    + (f": {invariant.message}" if invariant.message else ""),
-                    code="invariant")
+            check_invariant(invariant, element, report)
 
 
 def validate_element(element: Element,

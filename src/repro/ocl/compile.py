@@ -352,13 +352,7 @@ class _Compiler:
                     raise OclEvaluationError(message)
                 return run_unknown_it
             body_c = self.compile(node.body)
-            generic = maker(source_c, arg_cs, list(node.iterators), body_c)
-            if name in ("forAll", "exists") and not node.args \
-                    and len(node.iterators) == 1:
-                fast = self._column_quantifier(node, generic)
-                if fast is not None:
-                    return fast
-            return generic
+            return maker(source_c, arg_cs, list(node.iterators), body_c)
         plain = COLLECTION_OPS.plain.get(name)
         if plain is None:
             message = f"unknown collection operation ->{name}()"
@@ -375,49 +369,6 @@ class _Compiler:
             args = [closure(env) for closure in arg_cs]
             return _normalize(
                 plain(_EVALUATOR, env, _as_collection(source), args))
-        return run
-
-    def _column_quantifier(self, node: ArrowCall,
-                           generic: Closure) -> Optional[Closure]:
-        """The bulk-read fast path for
-        ``Type.allInstances()->forAll(x | <x.attr test>)`` (and
-        ``exists``): when the environment's instance scope is backed by a
-        :class:`~repro.mof.columns.ColumnStore`, the quantifier runs as a
-        tight loop over the attribute's contiguous column instead of
-        binding an iterator variable and navigating per element.
-
-        The predicate reuses the compiler's own ``truthy``/``_equal``/
-        ``_compare`` helpers and the column holds exactly the effective
-        values ``_get_value`` would return.  The column is in extent
-        order, which need not be the order the generic closure iterates
-        (an element scope iterates in preorder, and a move reorders that
-        but not the extent), so the column answers only what no order
-        can change: every value is tested, and when any test raises, the
-        generic closure decides which error or answer comes first.  It
-        also stays attached as the transparent fallback for cold or
-        object-backed scopes (``env.columns`` returning ``None``)."""
-        source = node.source
-        if not (isinstance(source, Call) and source.name == "allInstances"
-                and source.source is not None and not source.args):
-            return None
-        predicate = _column_predicate(node.body, node.iterators[0])
-        if predicate is None:
-            return None
-        attr, test = predicate
-        type_c = self.compile(source.source)
-        forall = node.name == "forAll"
-
-        def run(env: Environment) -> Any:
-            metaclass = type_c(env)
-            if isinstance(metaclass, MetaClass):
-                column = env.columns(metaclass, attr)
-                if column is not None:
-                    try:
-                        results = list(map(test, column))
-                    except OclEvaluationError:
-                        return generic(env)
-                    return all(results) if forall else any(results)
-            return generic(env)
         return run
 
     # -- operators --------------------------------------------------------
@@ -766,60 +717,6 @@ _ITERATOR_COMPILERS = {
     "sortedBy": _mk_sorted_by,
     "closure": _mk_closure,
 }
-
-
-def _column_predicate(
-        body: Node, itervar: str
-) -> Optional[Tuple[str, Callable[[Any], Any]]]:
-    """Recognise quantifier bodies of the shape ``<itervar>.attr <test>``
-    and return ``(attr, value -> bool)``, or ``None`` for anything the
-    column fast path cannot express.
-
-    Supported tests (each built from the exact helper the generic closure
-    would call, so error behaviour is identical): bare boolean attribute,
-    ``not``, ``oclIsUndefined`` (optionally negated), and comparison
-    against a literal on either side."""
-    def nav_attr(node: Any) -> Optional[str]:
-        if isinstance(node, Nav) and isinstance(node.source, Ident) \
-                and node.source.name == itervar:
-            return node.name
-        return None
-
-    attr = nav_attr(body)
-    if attr is not None:
-        return attr, truthy
-    if isinstance(body, UnOp) and body.op == "not":
-        inner = _column_predicate(body.operand, itervar)
-        if inner is None:
-            return None
-        attr, test = inner
-        return attr, lambda value: not truthy(test(value))
-    if isinstance(body, Call) and body.name == "oclIsUndefined" \
-            and not body.args:
-        attr = nav_attr(body.source)
-        if attr is not None:
-            return attr, lambda value: value is None
-        return None
-    if isinstance(body, BinOp) \
-            and body.op in ("=", "<>", "<", "<=", ">", ">="):
-        op = body.op
-        attr = nav_attr(body.left)
-        if attr is not None and isinstance(body.right, Literal):
-            literal = body.right.value
-            if op == "=":
-                return attr, lambda value: _equal(value, literal)
-            if op == "<>":
-                return attr, lambda value: not _equal(value, literal)
-            return attr, lambda value: _compare(op, value, literal)
-        attr = nav_attr(body.right)
-        if attr is not None and isinstance(body.left, Literal):
-            literal = body.left.value
-            if op == "=":
-                return attr, lambda value: _equal(literal, value)
-            if op == "<>":
-                return attr, lambda value: not _equal(literal, value)
-            return attr, lambda value: _compare(op, literal, value)
-    return None
 
 
 def _make_navigator(name: str) -> Callable[[Any], Any]:

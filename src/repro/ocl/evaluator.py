@@ -51,7 +51,6 @@ class Environment:
         self._types: Dict[str, MetaClass] = {}
         self._instance_scope: Optional[Callable[[MetaClass], List[Element]]] \
             = None
-        self._column_scope: Optional[Callable[[MetaClass, str], Any]] = None
 
     # -- construction ------------------------------------------------------
 
@@ -100,17 +99,14 @@ class Environment:
             # maintained extent index (repro.mof.index) when no read
             # hook is active — O(answer) instead of O(model).
             self._instance_scope = scope.all_instances
-            self._column_scope = None
         elif isinstance(scope, Model):
             self._instance_scope = scope.instances_of
-            self._column_scope = scope.column_values
         else:
             def lookup(metaclass: MetaClass) -> List[Element]:
                 if not isinstance(scope, Element):
                     raise OclTypeError(f"invalid instance scope {scope!r}")
                 return instances_of(scope, metaclass)
             self._instance_scope = lookup
-            self._column_scope = _element_column_scope(scope)
 
     # -- scoping ----------------------------------------------------------
 
@@ -150,43 +146,6 @@ class Environment:
             env = env.parent
         raise OclEvaluationError(
             "allInstances() used without an instance scope")
-
-    def columns(self, metaclass: MetaClass, name: str) -> Any:
-        """Bulk column read for ``Type.allInstances()`` fast paths: the
-        effective values of single attribute *name* over the instance
-        scope, in :meth:`instances` order — or ``None`` whenever the
-        per-element path must be used (no columnar store, dependency
-        tracking active, feature shape not columnar, or the scope is
-        not column-backed).  Resolved at the same environment that owns
-        the instance scope, so fast paths can never read a different
-        extent than the generic path would iterate."""
-        env: Optional[Environment] = self
-        while env is not None:
-            if env._instance_scope is not None:
-                reader = env._column_scope
-                if reader is None:
-                    return None
-                return reader(metaclass, name)
-            env = env.parent
-        return None
-
-
-def _element_column_scope(scope: Element):
-    """A column reader for an *Element* instance scope, valid only while
-    the element is the sole root of a column-enabled model (then the
-    subtree scope and the model extent hold exactly the same elements).
-    The guard re-checks per call: environments are cached across
-    evaluations and roots can come and go under them."""
-    model = getattr(scope, "_model", None)
-    if model is None or not hasattr(model, "column_values"):
-        return None
-
-    def reader(metaclass: MetaClass, name: str) -> Any:
-        roots = model.roots
-        if len(roots) != 1 or roots[0] is not scope:
-            return None
-        return model.column_values(metaclass, name)
-    return reader
 
 
 def _scope_elements(scope: Union[Model, Repository, Element]) -> List[Element]:

@@ -9,16 +9,16 @@ testable" discipline the paper requires.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..mof.kernel import Element, MetaClass, MetaPackage
+from ..mof.query import instances_of
 from ..mof.repository import Model
-from ..mof.validate import Severity, ValidationReport
+from ..mof.validate import Severity, ValidationReport, check_invariant
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .ast import Node
 from .compile import CompiledExpression, compile_expression, parse_cached
-from .errors import OclError
 from .evaluator import Environment, OclEvaluator, _EVALUATOR, truthy
 
 
@@ -175,27 +175,14 @@ class ConstraintSet:
         This is the engine-level building block behind the
         ``"constraint"`` family of :meth:`repro.session.Session.check`.
         """
-        from ..mof import kernel as _kernel
-
         report = ValidationReport()
-        # Over a Model the per-metaclass extent index answers "all
-        # conforming elements" in O(answer); the containment scan stays
-        # for Element scopes and while dependency tracking is active
-        # (the incremental engine must observe the per-element reads).
-        indexed = isinstance(scope, Model) and not _kernel._TRACKING
-        column_store = scope.column_store() if indexed else None
+        model_scope = isinstance(scope, Model)
+        column_store = scope.column_store() if model_scope else None
         if column_store is not None:
             from .columns import flag_constraint_suspects
-        elements: Iterable[Element]
-        if indexed:
-            elements = ()
-        elif isinstance(scope, Model):
-            elements = list(scope.all_elements())
-        else:
-            elements = [scope] + list(scope.all_contents())
         for inv in self.invariants:
-            candidates = (scope.instances_of(inv.context) if indexed
-                          else elements)
+            candidates = (scope.instances_of(inv.context) if model_scope
+                          else instances_of(scope, inv.context))
             # Columnar suspect scan: evaluate the invariant extent-wide
             # as a row plan and re-run holds() only where a diagnostic is
             # certain — candidate order (and thus the report) unchanged.
@@ -204,22 +191,8 @@ class ConstraintSet:
             flagged = (flag_constraint_suspects(inv, column_store)
                        if column_store is not None else None)
             for element in candidates:
-                if flagged is not None and id(element) not in flagged:
-                    continue
-                if not indexed and not element.meta.conforms_to(inv.context):
-                    continue
-                try:
-                    ok = inv.holds(element)
-                except OclError as exc:
-                    report.add(Severity.ERROR, element,
-                               f"invariant '{inv.name}' raised: {exc}",
-                               code="invariant-error")
-                    continue
-                if not ok:
-                    report.add(inv.severity, element,
-                               f"invariant '{inv.name}' violated"
-                               + (f": {inv.message}" if inv.message else ""),
-                               code="invariant")
+                if flagged is None or id(element) in flagged:
+                    check_invariant(inv, element, report)
         return report
 
     def register_all(self) -> None:

@@ -256,8 +256,8 @@ class Session:
         self.lint_config = lint_config
         if columnar:
             # per-metaclass struct-of-arrays extents (repro.mof.columns):
-            # allInstances-heavy OCL and the structural/invariant families
-            # run over contiguous columns instead of per-object slots
+            # the structural, invariant and constraint families scan
+            # contiguous columns instead of per-object slots
             self.model.enable_columns()
         #: the :class:`~repro.generate.GenerationResult` behind this
         #: session, when it was opened via :meth:`Session.generate`
@@ -345,18 +345,8 @@ class Session:
             selected = tuple(f for f in FAMILIES if f in requested)
         return selected
 
-    def _active_column_store(self) -> Optional[Any]:
-        """The model's column store when its fast paths may be used:
-        enabled, and no dependency tracking (incremental tracking must
-        observe per-element reads a bulk scan would hide)."""
-        from .mof import kernel as _kernel
-        store = self.model.column_store()
-        if store is None or _kernel._TRACKING:
-            return None
-        return store
-
     def _check_structural(self) -> List[Diagnostic]:
-        store = self._active_column_store()
+        store = self.model.column_store()
         if store is not None:
             # columnar fast path: one bulk scan over the extent columns
             # flags every element that *could* carry a structural
@@ -381,7 +371,7 @@ class Session:
         return out
 
     def _check_invariant(self) -> List[Diagnostic]:
-        store = self._active_column_store()
+        store = self.model.column_store()
         if store is not None:
             # columnar fast path: invariants run extent-wide as row
             # plans (repro.ocl.columns); the flagged set is exact, and

@@ -43,7 +43,8 @@ def oracle(model, constraint_sets=()):
 
 
 def assert_consistent(engine):
-    actual = report_signature(engine.revalidate())
+    engine.revalidate()
+    actual = report_signature(engine.report())
     assert engine.verify() == []
     assert actual == oracle(engine.model, engine.constraint_sets)
 
@@ -168,7 +169,8 @@ def test_quarantined_unit_keeps_its_position(library):
         book.pages = 60
     plan = faults.FaultPlan(seed=0, rate=1.0, sites=["checker.run"])
     with faults.injected(plan):
-        report = engine.revalidate()
+        engine.revalidate()
+    report = engine.report()
     crashed = [d for d in report.diagnostics if d.code == "checker-crashed"]
     assert crashed and engine.quarantined()
     assert engine.verify() == []
@@ -235,7 +237,8 @@ def test_record_reads_join_the_unit_reads():
                                wellformed=False, registry=registry)
     engine.revalidate()
     clazz.name = "Renamed"
-    (diagnostic,) = engine.revalidate().diagnostics
+    engine.revalidate()
+    (diagnostic,) = engine.report().diagnostics
     assert "'Renamed'" in diagnostic._record
     assert engine.verify() == []
     engine.detach()
@@ -272,7 +275,8 @@ def test_idle_view_keeps_no_element_created_and_deleted_since():
     # the idle view never had those books: nothing pins them until its
     # next revalidation
     assert idle._transitions == {}
-    actual = report_signature(idle.revalidate())
+    idle.revalidate()
+    actual = report_signature(idle.report())
     assert idle.verify() == []
     assert actual == report_signature(ValidationReport(
         session.check(["structural"]).diagnostics))
@@ -300,7 +304,8 @@ def test_instance_order_follows_a_containment_move():
                                wellformed=False, registry=registry)
 
     def messages():
-        return [d.message for d in engine.revalidate().diagnostics]
+        engine.revalidate()
+        return [d.message for d in engine.report().diagnostics]
 
     assert messages() == ["first class A"]
     factory.model.packaged_elements.move(0, b)
@@ -453,7 +458,8 @@ def test_kernel_repair_after_raw_damage(damage, code, repair):
     book = shelf.books[0]
     damage(root, shelf, other, book)    # no notification: not a kernel edit
     engine = IncrementalEngine(model, wellformed=False, lint=False)
-    assert code in {d.code for d in engine.revalidate().diagnostics}
+    engine.revalidate()
+    assert code in {d.code for d in engine.report().diagnostics}
     assert_consistent(engine)
     repair(root, shelf, other, book)
     assert_consistent(engine)

@@ -13,7 +13,6 @@ ModelIndex.  Everything here pivots on two properties:
 """
 
 import json
-from array import array
 
 import pytest
 
@@ -42,63 +41,36 @@ def library_model():
     return model
 
 
-class TestColumnStoreReads:
-    def test_conforming_values_match_object_reads(self, library_model):
+class TestColumnGate:
+    def test_tracking_hides_the_column_store(self, library_model):
         store = library_model.enable_columns()
-        book = demo_package().classifier("GBook")
-        values = store.conforming_values(book, "pages")
-        expected = [e.eget("pages")
-                    for e in library_model.instances_of(book)]
-        assert list(values) == expected
-
-    def test_pure_int_attribute_compacts_to_typed_array(self, library_model):
-        store = library_model.enable_columns()
-        book = demo_package().classifier("GBook")
-        block = store.block(book)
-        if all(isinstance(v, int) for v in block.columns["pages"]):
-            assert isinstance(block.columns["pages"], array)
-
-    def test_inapplicable_features_return_none(self, library_model):
-        store = library_model.enable_columns()
-        book = demo_package().classifier("GBook")
-        assert store.conforming_values(book, "tags") is None      # many
-        assert store.conforming_values(book, "sequel") is None    # reference
-        assert store.conforming_values(book, "nope") is None      # unknown
-
-    def test_superclass_read_spans_subclass_extents(self, library_model):
-        store = library_model.enable_columns()
-        named = demo_package().classifier("GNamed")
-        values = store.conforming_values(named, "name")
-        assert values is not None
-        assert len(values) == len(library_model.instances_of(named))
-
-    def test_read_hook_gates_bulk_reads(self, library_model):
-        store = library_model.enable_columns()
-        book = demo_package().classifier("GBook")
-        assert store.conforming_values(book, "pages") is not None
+        assert library_model.column_store() is store
         with collect_reads(set()):
-            # dependency tracking must see per-element reads; the bulk
-            # path would hide them, so it refuses
-            assert store.conforming_values(book, "pages") is None
-        assert store.conforming_values(book, "pages") is not None
-        # a counting probe is not dependency tracking: the path stays on
-        previous = set_read_hook(lambda element, key: None)
+            # dependency tracking must see per-element reads; a bulk
+            # scan would hide them, so the model offers no store
+            assert library_model.column_store() is None
+        assert library_model.column_store() is store
+        # a counting probe is not dependency tracking: the store stays
+        reads = []
+        previous = set_read_hook(lambda element, key: reads.append(key))
         try:
-            assert store.conforming_values(book, "pages") is not None
+            assert library_model.column_store() is store
+            library_model.roots[0].eget("name")
         finally:
             set_read_hook(previous)
+        assert reads
 
 
 class TestColumnStoreMaintenance:
     def test_write_invalidates_and_rebuild_reflects_it(self, library_model):
         store = library_model.enable_columns()
         book = demo_package().classifier("GBook")
-        some_book = library_model.instances_of(book)[0]
-        before = store.conforming_values(book, "pages")
+        some_book = library_model.instances_of(book, exact=True)[0]
+        before = list(store.block(book).columns["pages"])
         invalidations = store.invalidations
         some_book.eset("pages", 123456)
         assert store.invalidations > invalidations
-        after = store.conforming_values(book, "pages")
+        after = store.block(book).columns["pages"]
         assert 123456 in after
         assert before != after
 
@@ -107,19 +79,16 @@ class TestColumnStoreMaintenance:
         book = demo_package().classifier("GBook")
         block = store.block(book)
         assert store.verify() == []
-        # simulate a missed notification by corrupting one cell; the
-        # column must be a boxed list for in-place corruption
-        block.columns["color"] = list(block.columns["color"])
+        # simulate a missed notification by corrupting one cell
         block.columns["color"][0] = "not-a-color"
         assert any("color[0]" in problem for problem in store.verify())
 
     def test_stats_shape(self, library_model):
         store = library_model.enable_columns()
         book = demo_package().classifier("GBook")
-        store.conforming_values(book, "pages")
+        store.block(book)
         stats = store.stats()
         assert stats["enabled"] is True
-        assert stats["bulk_reads"] >= 1
         assert stats["rebuilds"] >= 1
         assert stats["bytes"] > 0
         assert stats["per_extent"]["GBook"]["rows"] == len(

@@ -152,13 +152,12 @@ class TestIndexMaintenance:
         second = demo_generator(2).generate(15)
         model.add_root(second)
         assert_columns_match_objects(model)
-        values = store.conforming_values(book, "pages")
-        assert values is not None
-        assert len(values) == len(model.instances_of(book))
+        values = store.block(book).columns["pages"]
+        assert len(values) == len(model.instances_of(book, exact=True))
         model.remove_root(second)
         assert_columns_match_objects(model)
-        values = store.conforming_values(book, "pages")
-        assert len(values) == len(model.instances_of(book))
+        values = store.block(book).columns["pages"]
+        assert len(values) == len(model.instances_of(book, exact=True))
 
     def test_columns_fresh_after_aborted_transaction(self):
         from repro.mof import transaction

@@ -1,6 +1,10 @@
 """Kernel tests: features, opposites, containment, reflection,
 notifications, freezing, deletion, dynamic metamodels."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.mof import (
@@ -187,6 +191,39 @@ class TestOppositesAndContainment:
         assert lib.contents() == [b1, b2]
         assert list(lib.all_contents()) == [b1, ch, b2]
         assert ch.root() is lib
+
+
+    def test_one_sided_reference_pairs_whichever_end_is_read_first(self):
+        # GBook.shelf is declared without opposite=; GShelf.books names
+        # it.  In a fresh process the first write through the one-sided
+        # end must pair both ends, as it does once GShelf.books was read.
+        script = (
+            "from repro.generate import demo_package\n"
+            "pkg = demo_package()\n"
+            "shelf = pkg.classifier('GShelf').instantiate()\n"
+            "book = pkg.classifier('GBook').instantiate()\n"
+            "book.eset('shelf', shelf)\n"
+            "print(list(shelf.eget('books')) == [book],"
+            " book.container is shelf)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]
+
+    def test_late_partner_pairs_a_reference_already_read(self):
+        from repro.mof import add_reference, define_class
+        pkg = MetaPackage("late")
+        item = define_class(pkg, "Item")
+        bag = define_class(pkg, "Bag")
+        owner = add_reference(item, "bag", bag)
+        assert owner.opposite is None
+        items = add_reference(bag, "items", item, containment=True,
+                              multiplicity=M_0N, opposite="bag")
+        assert owner.opposite is items
+        thing, sack = item(), bag()
+        thing.bag = sack
+        assert list(sack.items) == [thing] and thing.container is sack
 
 
 class TestCollectionSemantics:

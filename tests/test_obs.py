@@ -288,7 +288,6 @@ class TestObservingKeepsFastPaths:
         counters = {
             "columns.built": columns["built"],
             "columns.rebuilds": columns["rebuilds"],
-            "columns.bulk_reads": columns["bulk_reads"],
             "index.hits": index["hits"],
             "index.eid_scans": index["eid_scans"],
         }
@@ -320,7 +319,6 @@ class TestObservingKeepsFastPaths:
             lambda: collect_reads(set()))
         assert tracked == plain
         assert counters["columns.built"] == 0
-        assert counters["columns.bulk_reads"] == 0
         assert counters["index.hits"] == 0
 
 

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.analysis import ModelLinter
-from repro.generate import demo_generator, uml_generator
+from repro.generate import demo_generator, demo_package, uml_generator
 from repro.incremental import report_signature
 from repro.mof import Model
 from repro.mof.validate import ValidationReport, validate_tree
@@ -104,6 +104,34 @@ class TestParity:
         assert report_signature(reference) == \
             report_signature(new.as_validation_report())
 
+    @pytest.mark.parametrize("columnar", [False, True])
+    @pytest.mark.parametrize("expression", [
+        "self.name.toInteger() > 0",        # Python raises ValueError
+        "self.pages.max('a') > 0",          # Python raises TypeError
+    ])
+    def test_raising_constraint_reports_as_the_view(self, expression,
+                                                    columnar):
+        # an invariant that raises any exception is an invariant-error in
+        # the constraint family, as in the registered-invariant family
+        # and in the incremental view
+        from repro.ocl import ConstraintSet
+        constraints = ConstraintSet("raising")
+        constraints.add(demo_package().classifier("GBook"), "raising",
+                        expression)
+        model = _as_model(demo_generator(3).generate(40))
+        session = Session(model, constraint_sets=[constraints],
+                          columnar=columnar)
+        full = session.check(["constraint"]).diagnostics
+        engine = session.watch(["constraint"])
+        try:
+            view = engine.check_result().diagnostics
+        finally:
+            engine.detach()
+        assert len(full) == 26
+        assert {d.code for d in full} == {"invariant-error"}
+        assert report_signature(ValidationReport(full)) == \
+            report_signature(ValidationReport(view))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_watch_matches_batch_check(self, seed):
         # the incremental view agrees with the batch view per family
@@ -111,7 +139,8 @@ class TestParity:
         session = Session(root)
         engine = session.watch()
         try:
-            incremental = engine.revalidate()
+            engine.revalidate()
+            incremental = engine.report()
             batch = session.check()
             assert report_signature(incremental) == \
                 report_signature(batch.as_validation_report())

@@ -21,7 +21,6 @@ from repro.mof import (
     in_transaction,
     transaction,
 )
-from repro.mof import txn as txn_mod
 from repro.mof import notify as notify_mod
 from repro.mof.repository import Model
 from repro.mof import repository as repo_mod
@@ -286,18 +285,6 @@ class TestHooks:
         finally:
             set_notify_hook(previous)
         assert len(seen) == 1
-
-    def test_module_commit_listener_fires_once_outermost(self, lib):
-        committed = []
-        txn_mod.on_commit(committed.append)
-        try:
-            with transaction():
-                with transaction():
-                    lib.books[0].pages = 5
-            assert len(committed) == 1
-            assert committed[0].parent is None
-        finally:
-            txn_mod.remove_listener(committed.append)
 
     def test_rollback_listener_and_per_txn_hooks(self, lib):
         events = []
