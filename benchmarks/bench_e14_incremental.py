@@ -27,9 +27,10 @@ import time
 import tracemalloc
 
 from repro.incremental import IncrementalEngine, report_signature, tracking
+from repro.session import Session
 from repro.uml.classifiers import Clazz
 from repro.uml.features import Property
-from workloads import QUICK, make_sized_pim
+from workloads import QUICK, VIEW_FAMILIES, make_sized_pim
 
 SIZES = [50] if QUICK else [100, 1000]      # n_classes; ~10 elements each
 N_EDITS = 8 if QUICK else 24
@@ -56,7 +57,7 @@ def test_e14_incremental_speedup():
     speedups = []
     for size in SIZES:
         model = make_sized_pim(size).model
-        engine = IncrementalEngine(model)
+        engine = IncrementalEngine(Session(model), VIEW_FAMILIES)
         engine.revalidate()                       # prime every cache
         n_elements = 1 + sum(1 for _ in model.all_contents())
 
@@ -107,7 +108,7 @@ def test_e14_edit_cost_does_not_scale_with_model():
     reruns = []
     for size in SIZES:
         model = make_sized_pim(size).model
-        engine = IncrementalEngine(model)
+        engine = IncrementalEngine(Session(model), VIEW_FAMILIES)
         engine.revalidate()
         rng = random.Random(42)
         worst = 0
@@ -137,7 +138,7 @@ def test_e14_structural_edit_cost():
           f"{'delete ms':>10} {'delete units':>13}")
     for size in SIZES:
         model = make_sized_pim(size).model
-        engine = IncrementalEngine(model)
+        engine = IncrementalEngine(Session(model), VIEW_FAMILIES)
         engine.revalidate()
         n_elements = 1 + sum(1 for _ in model.all_contents())
         classes = [element for element in model.all_contents()
@@ -183,7 +184,7 @@ def test_e14_engine_memory():
             before = tracemalloc.get_traced_memory()[0]
             model = make_sized_pim(size).model
             built = tracemalloc.get_traced_memory()[0]
-            engine = IncrementalEngine(model)
+            engine = IncrementalEngine(Session(model), VIEW_FAMILIES)
             engine.revalidate()
             warm = tracemalloc.get_traced_memory()[0]
             snapshot = tracemalloc.take_snapshot()

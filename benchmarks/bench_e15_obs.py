@@ -18,7 +18,8 @@ import random
 
 from repro import obs
 from repro.incremental import IncrementalEngine
-from workloads import QUICK, make_sized_pim, paired_medians
+from repro.session import Session
+from workloads import QUICK, VIEW_FAMILIES, make_sized_pim, paired_medians
 
 N_CLASSES = 40 if QUICK else 200
 N_ROUNDS = 30 if QUICK else 100
@@ -30,7 +31,7 @@ EPSILON_MS = 0.05            # absolute slack for sub-millisecond medians
 def test_e15_disabled_overhead_under_5_percent():
     assert not obs.is_enabled()
     root = make_sized_pim(N_CLASSES).model
-    engine = IncrementalEngine(root)
+    engine = IncrementalEngine(Session(root), VIEW_FAMILIES)
     engine.revalidate()
     rng = random.Random(15)
     editable = [element for element in [root] + list(root.all_contents())
@@ -106,7 +107,6 @@ def test_e15_enabled_instrumentation_covers_every_layer():
     from repro.codegen import generate_c, lower_model
     from repro.ocl import ConstraintSet
     from repro.platforms import make_pim_to_psm, posix_platform
-    from repro.session import Session
     from repro.uml import Clazz, StateMachine
 
     constraints = ConstraintSet("e15")

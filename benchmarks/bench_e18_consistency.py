@@ -21,6 +21,7 @@ import time
 
 from repro.analysis import ModelLinter
 from repro.incremental import IncrementalEngine, report_signature
+from repro.session import DEFAULT_FAMILIES, Session
 from workloads import QUICK, make_interacting_pim
 
 SIZES = [60] if QUICK else [100, 1000, 8000]  # n_classes; ~11 elems each
@@ -77,7 +78,7 @@ def test_e18_incremental_speedup():
     sizes = SIZES[:-1] if len(SIZES) > 2 else SIZES   # cap scratch cost
     for size in sizes:
         model = make_interacting_pim(size).model
-        engine = IncrementalEngine(model, consistency=True)
+        engine = IncrementalEngine(Session(model), DEFAULT_FAMILIES)
         engine.revalidate()
         n_elements = 1 + sum(1 for _ in model.all_contents())
 
@@ -123,7 +124,7 @@ def test_e18_edit_cost_flat_in_model_size():
     reruns = []
     for size in SIZES if QUICK else SIZES[:-1]:
         model = make_interacting_pim(size).model
-        engine = IncrementalEngine(model, consistency=True)
+        engine = IncrementalEngine(Session(model), DEFAULT_FAMILIES)
         engine.revalidate()
         rng = random.Random(42)
         worst = 0

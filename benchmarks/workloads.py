@@ -21,6 +21,10 @@ from repro.validation import Collaboration
 #: sizes and round counts.
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
+#: the families E14 and E15 time their views over: every default family
+#: but the cross-diagram consistency rules
+VIEW_FAMILIES = ("structural", "invariant", "wellformed", "lint")
+
 
 def paired_medians(a: Callable[[], object], b: Callable[[], object],
                    rounds: int) -> Tuple[float, float]:

@@ -10,7 +10,7 @@ rules, and override the severity of any code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
 from .diagnostics import Diagnostic, Severity
@@ -64,12 +64,17 @@ class LintConfig:
     def is_enabled(self, rule: LintRule) -> bool:
         return rule.name in self.enabled or rule.code in self.enabled
 
-    def allows(self, diagnostic: Diagnostic) -> bool:
-        return diagnostic.code not in self.disabled
-
-    def effective_severity(self, diagnostic: Diagnostic) -> Severity:
-        return self.severity_overrides.get(diagnostic.code,
-                                           diagnostic.severity)
+    def admit(self, diagnostic: Diagnostic) -> Optional[Diagnostic]:
+        """*diagnostic* as a run under this config reports it: None when
+        its code is disabled, else a copy at the overriding severity,
+        or the diagnostic itself when no override changes it."""
+        if diagnostic.code in self.disabled:
+            return None
+        severity = self.severity_overrides.get(diagnostic.code,
+                                               diagnostic.severity)
+        if severity is not diagnostic.severity:
+            diagnostic = replace(diagnostic, severity=severity)
+        return diagnostic
 
 
 class RuleRegistry:

@@ -33,7 +33,7 @@ from ..uml.statemachines import (
     Vertex,
 )
 from .diagnostics import Diagnostic
-from .registry import Severity, lint_rule
+from .registry import lint_rule
 from .runner import LintContext
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ diagnostics before they reach the report.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional
 
 from ..mof.kernel import Element, MetaClass
@@ -21,6 +20,20 @@ from ..uml.interactions import Interaction
 from ..uml.statemachines import StateMachine
 from .diagnostics import Diagnostic, LintReport, Severity, model_path
 from .registry import DEFAULT_REGISTRY, LintConfig, LintRule, RuleRegistry
+
+
+def element_target(element: Element) -> Optional[str]:
+    """The target kind *element* is linted as: ``statemachine``,
+    ``activity``, ``interaction``, or None.  The other per-model kinds
+    are not decided per element: ``model`` targets are the roots and
+    ``metaclass`` targets the metaclasses in use."""
+    if isinstance(element, StateMachine):
+        return "statemachine"
+    if isinstance(element, Activity):
+        return "activity"
+    if isinstance(element, Interaction):
+        return "interaction"
+    return None
 
 
 class LintContext:
@@ -96,28 +109,28 @@ class ModelLinter:
         context = LintContext(root, self.config, self.registry)
 
         # the single walk: bucket targets by kind
-        machines: List[StateMachine] = []
-        activities: List[Activity] = []
-        interactions: List[Interaction] = []
-        metaclasses: Dict[int, MetaClass] = {}
+        targets: Dict[str, List[Element]] = {
+            "statemachine": [], "activity": [], "interaction": []}
+        metas: Dict[MetaClass, None] = {}
         count = 0
         for element in self._walk(root):
             count += 1
-            if isinstance(element, StateMachine):
-                machines.append(element)
-            elif isinstance(element, Activity):
-                activities.append(element)
-            elif isinstance(element, Interaction):
-                interactions.append(element)
-            for metaclass in ([element.meta]
-                              + element.meta.all_superclasses()):
-                metaclasses.setdefault(id(metaclass), metaclass)
+            kind = element_target(element)
+            if kind is not None:
+                targets[kind].append(element)
+            metas[element.meta] = None
         report.elements_scanned += count
+        # each distinct metaclass with its superclasses, in first-use
+        # order: the order a per-element expansion gives, at a cost per
+        # metaclass rather than per element
+        metaclasses: Dict[int, MetaClass] = {}
+        for meta in metas:
+            for metaclass in [meta] + meta.all_superclasses():
+                metaclasses.setdefault(id(metaclass), metaclass)
 
         self._dispatch("model", [root], context, report)
-        self._dispatch("statemachine", machines, context, report)
-        self._dispatch("activity", activities, context, report)
-        self._dispatch("interaction", interactions, context, report)
+        for kind, found in targets.items():
+            self._dispatch(kind, found, context, report)
         self._dispatch("metaclass", list(metaclasses.values()),
                        context, report)
 
@@ -150,12 +163,9 @@ class ModelLinter:
             context.current_rule = None
 
     def _emit(self, diagnostic: Diagnostic, report: LintReport) -> None:
-        if not self.config.allows(diagnostic):
-            return
-        effective = self.config.effective_severity(diagnostic)
-        if effective is not diagnostic.severity:
-            diagnostic = replace(diagnostic, severity=effective)
-        report.diagnostics.append(diagnostic)
+        diagnostic = self.config.admit(diagnostic)
+        if diagnostic is not None:
+            report.diagnostics.append(diagnostic)
 
 
 # ---------------------------------------------------------------------------

@@ -162,18 +162,20 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if clean else 1
 
 
-def _watch_pass(engine, model_path: str, fmt: str = "text",
-                severity: Optional[str] = None) -> "object":
+def _watch_pass(model: MofModel, model_path: str, fmt: str = "text",
+                severity: Optional[str] = None):
+    """Build and prime a view of every default family over *model*,
+    print its first report, and return the view and that report."""
     import time
 
     started = time.perf_counter()
-    engine.revalidate()
+    engine = Session(model).watch()
     report = engine.report()
     elapsed = (time.perf_counter() - started) * 1e3
     result = engine.check_result().filtered(severity)
     if fmt == "json":
         print(result.render("json"))
-        return report
+        return engine, report
     print(f"{model_path}: {len(report.errors)} error(s), "
           f"{len(report.warnings)} warning(s) across "
           f"{engine.unit_count()} check unit(s) in {elapsed:.1f} ms "
@@ -186,7 +188,7 @@ def _watch_pass(engine, model_path: str, fmt: str = "text",
               f"(crashed checkers, retrying with backoff):")
         for line in engine.quarantine_report():
             print(f"    {line}")
-    return report
+    return engine, report
 
 
 def _watch_bench(engine, edits: int) -> int:
@@ -229,11 +231,8 @@ def _watch_bench(engine, edits: int) -> int:
 def cmd_watch(args: argparse.Namespace) -> int:
     import time
 
-    from .incremental import IncrementalEngine
-
-    model = load_model(args.model)
-    engine = IncrementalEngine(model, consistency=True)
-    report = _watch_pass(engine, args.model, args.format, args.severity)
+    engine, report = _watch_pass(load_model(args.model), args.model,
+                                 args.format, args.severity)
     if args.bench:
         code = _watch_bench(engine, args.bench)
         engine.detach()
@@ -263,11 +262,9 @@ def cmd_watch(args: argparse.Namespace) -> int:
                 model = load_model(args.model)
             except Exception as exc:
                 print(f"  reload failed: {exc}")
-                engine = IncrementalEngine(model, consistency=True)
                 continue
-            engine = IncrementalEngine(model, consistency=True)
-            report = _watch_pass(engine, args.model, args.format,
-                                 args.severity)
+            engine, report = _watch_pass(model, args.model, args.format,
+                                         args.severity)
             now = {d.render() for d in report.diagnostics}
             for line in sorted(now - rendered):
                 print(f"  + {line}")
@@ -800,11 +797,12 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[trace_parent, diag_parent],
         description="Validate a model through the incremental "
                     "revalidation engine (structure, invariants, UML "
-                    "well-formedness, lint) and keep watching the file: "
-                    "each re-save prints the diagnostic delta.  In-process "
-                    "callers get true incrementality via "
-                    "repro.incremental; --bench demonstrates it on the "
-                    "loaded model with single-element rename edits.",
+                    "well-formedness, lint, cross-diagram consistency) "
+                    "and keep watching the file: each re-save prints the "
+                    "diagnostic delta.  In-process callers get true "
+                    "incrementality via Session.watch; --bench "
+                    "demonstrates it on the loaded model with "
+                    "single-element rename edits.",
         epilog="exit codes (with --once): 0 = clean, 1 = errors found, "
                "2 = usage/load error, or quarantined checkers under "
                "--strict")

@@ -13,7 +13,7 @@ lowering — mirroring the state-machine story.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from ..uml.activities import (
     ActionNode,

@@ -7,7 +7,7 @@ chooses spellings.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from .actions import to_c_expr
 from .ir import (

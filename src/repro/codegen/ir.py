@@ -13,7 +13,7 @@ rhetorical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 
 # -- statements -------------------------------------------------------------

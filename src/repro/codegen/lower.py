@@ -15,7 +15,7 @@ Everything downstream of this module is syntactic pretty-printing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..transform.library import flatten_state_machine
 from ..uml import (
@@ -24,7 +24,6 @@ from ..uml import (
     Enumeration,
     Interface,
     Package,
-    Property,
     State,
     StateMachine,
     UmlModel,

@@ -19,8 +19,6 @@ from .ir import (
     CodeModel,
     CommentStmt,
     CompilationUnit,
-    EnumDecl,
-    FunctionDecl,
     IfStmt,
     RawStmt,
     ReturnStmt,

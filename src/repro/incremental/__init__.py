@@ -7,8 +7,8 @@ and on every edit re-runs only the affected (check, element) pairs; see
 
 Public surface:
 
-* :class:`IncrementalEngine` — the engine; :func:`watch` builds one and
-  primes its caches;
+* :class:`IncrementalEngine` — the engine, built and primed by
+  :meth:`repro.session.Session.watch`;
 * :class:`DependencyGraph` / :func:`collect_reads` — the read-tracking
   substrate, reusable by other caching layers;
 * :func:`diagnostic_key` / :func:`report_signature` — order-insensitive
@@ -21,7 +21,6 @@ from .engine import (
     QuarantineEntry,
     diagnostic_key,
     report_signature,
-    watch,
 )
 from .tracking import (CONTAINER_KEY, EXTENT_KEY, DependencyGraph, ReadKey,
                        collect_reads)
@@ -37,5 +36,4 @@ __all__ = [
     "collect_reads",
     "diagnostic_key",
     "report_signature",
-    "watch",
 ]

@@ -4,8 +4,9 @@ The paper's workflow is a cycle: edit the model, re-check the model.
 Batch checking pays for the whole model on every edit; this engine pays
 only for what the edit touched.  It decomposes validation into *check
 units* — one structural check per element, one (invariant, element)
-pair, one (well-formedness rule, root) pair, one (lint rule, target)
-pair — runs each unit under the kernel's read instrumentation
+pair, one (constraint set, invariant, element) triple, one
+(well-formedness rule, root) pair, one (lint or consistency rule,
+target) pair — runs each unit under the kernel's read instrumentation
 (:mod:`repro.incremental.tracking`), and memoises both the unit's
 diagnostics and its exact read set.  A change notification then
 invalidates precisely the units whose last run read the changed slot;
@@ -32,27 +33,29 @@ records from scratch and lists any difference.
 
 The unit decomposition mirrors the batch checkers exactly —
 ``validate_tree`` (structure + registered invariants),
-``uml.wellformed.run_wellformed_rules`` and ``analysis.ModelLinter`` — so
-that an engine's merged report is diagnostic-for-diagnostic equal to a
-from-scratch run; the property suite in
-``tests/test_incremental_properties.py`` holds that equality over
-thousands of random edits.
+``ConstraintSet.evaluate``, ``uml.wellformed.run_wellformed_rules`` and
+``analysis.ModelLinter`` — so that each family of an engine's report is
+diagnostic-for-diagnostic equal to a from-scratch run; the property
+suite in ``tests/test_incremental_properties.py`` holds that equality
+over thousands of random edits.  :meth:`repro.session.Session.watch`
+builds every engine, and its session decides what each selected family
+runs.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .. import faults as _faults
-from ..analysis.registry import DEFAULT_REGISTRY, LintConfig, LintRule, RuleRegistry
-from ..analysis.runner import LintContext
+from ..analysis.registry import FAMILIES as RULE_FAMILIES
+from ..analysis.registry import LintConfig, LintRule, RuleRegistry
+from ..analysis.runner import LintContext, element_target
 from ..mof.index import walk
 from ..mof.kernel import Element, MetaClass, Reference
 from ..mof.notify import ChangeKind, Notification
-from ..mof.repository import Model
 from ..mof.validate import (
     Diagnostic,
     Severity,
@@ -63,7 +66,9 @@ from ..mof.validate import (
 )
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from ..session import encode_record
+from ..session import CheckResult, Session, encode_record
+from ..uml.package import Package
+from ..uml.wellformed import ALL_RULES as WELLFORMED_RULES
 from .tracking import (CONTAINER_KEY, EXTENT_KEY, DependencyGraph, ReadKey,
                        collect_reads, untracked)
 
@@ -138,6 +143,15 @@ class InvariantUnit(_Unit):
         return report.diagnostics
 
 
+class ConstraintUnit(InvariantUnit):
+    """One invariant of a :class:`~repro.ocl.invariants.ConstraintSet` on
+    one conforming element, as ``Session._check_constraint`` evaluates
+    it; it reports under the ``constraint`` family."""
+
+    __slots__ = ()
+    kind = "constraint"
+
+
 class WellformedUnit(_Unit):
     """One (well-formedness rule, root) pair."""
 
@@ -155,16 +169,17 @@ class WellformedUnit(_Unit):
 
 
 class LintUnit(_Unit):
-    """One (lint rule, target) pair, applying the same config filtering
-    as ``ModelLinter._emit``.
+    """One (rule, target) pair of the ``lint`` or ``consistency`` rule
+    family; it reports under its rule's family, filtered by
+    :meth:`~repro.analysis.registry.LintConfig.admit` as
+    ``ModelLinter`` filters it.
 
     Each run gets a fresh :class:`LintContext`; rules only use the
     context cache for per-target memoisation, so isolating them changes
     nothing but the sharing.
     """
 
-    __slots__ = ("rule", "target", "config", "registry")
-    kind = "lint"
+    __slots__ = ("rule", "target", "config", "registry", "kind")
 
     def __init__(self, rule: LintRule, target: Any, config: LintConfig,
                  registry: RuleRegistry):
@@ -172,29 +187,17 @@ class LintUnit(_Unit):
         self.target = target
         self.config = config
         self.registry = registry
+        self.kind = rule.family
 
     def run(self) -> List[Diagnostic]:
         root = self.target.root() if isinstance(self.target, Element) \
             else None
         context = LintContext(root, self.config, self.registry)
         context.current_rule = self.rule
-        out: List[Diagnostic] = []
-        for diagnostic in self.rule.check(self.target, context):
-            if not self.config.allows(diagnostic):
-                continue
-            effective = self.config.effective_severity(diagnostic)
-            if effective is not diagnostic.severity:
-                diagnostic = replace(diagnostic, severity=effective)
-            out.append(diagnostic)
-        return out
-
-
-class ConsistencyUnit(LintUnit):
-    """One (cross-diagram ``XD`` rule, target) pair — a lint unit whose
-    diagnostics report under the ``consistency`` family."""
-
-    __slots__ = ()
-    kind = "consistency"
+        admitted = map(self.config.admit, self.rule.check(self.target,
+                                                          context))
+        return [diagnostic for diagnostic in admitted
+                if diagnostic is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -249,56 +252,34 @@ class QuarantineEntry:
 # The engine
 # ---------------------------------------------------------------------------
 
-Scope = Union[Model, Element, Sequence[Element]]
-
-
 class IncrementalEngine:
-    """Dependency-tracked, notification-driven revalidation of one model.
+    """Dependency-tracked, notification-driven revalidation of one
+    session's model, over one selection of its checker families.
 
-    ``scope`` may be a :class:`~repro.mof.repository.Model`, a single root
-    element, or a sequence of roots (the latter two are wrapped in a
-    private model so that element notifications reach the engine).
-
-    Checker families are opt-out: structural validation, registered
-    metaclass invariants, extra :class:`~repro.ocl.invariants.ConstraintSet`
-    groups, UML well-formedness rules (skipped for roots that are not UML
-    packages) and the lint registry.  When both well-formedness and lint
-    are active, the default lint config disables the ``uml-wellformed``
-    meta-rule — same de-duplication as
-    ``validation.report.build_quality_report``.
-    The cross-diagram ``consistency`` family (the ``XD`` rules) is opt-in
-    via ``consistency=True`` and runs as its own unit kind, so
-    :meth:`report_by_kind` keeps the families separate.
+    :meth:`repro.session.Session.watch` builds and primes one.  The
+    session decides everything about the selected *families* (``None``
+    for its default selection): which families they are, in which
+    order, and what each runs, from its constraint sets, its rule
+    registry and the lint config of
+    :meth:`~repro.session.Session._lint_config`.  Each family runs as
+    its own unit kind (well-formedness rules only for roots that are
+    UML packages), so :meth:`check_result` lists the families
+    :meth:`~repro.session.Session.check` lists.
     """
 
-    def __init__(self, scope: Scope, *,
-                 structural: bool = True,
-                 invariants: bool = True,
-                 constraint_sets: Iterable[Any] = (),
-                 wellformed: bool = True,
-                 wellformed_rules: Optional[Iterable[Any]] = None,
-                 lint: bool = True,
-                 consistency: bool = False,
-                 registry: Optional[RuleRegistry] = None,
-                 config: Optional[LintConfig] = None):
-        self.model = self._resolve_scope(scope)
-        self.structural = structural
-        self.invariants = invariants
-        self.constraint_sets = list(constraint_sets)
-        if wellformed_rules is not None:
-            self.wellformed_rules = list(wellformed_rules)
-        elif wellformed:
-            from ..uml.wellformed import ALL_RULES
-            self.wellformed_rules = list(ALL_RULES)
-        else:
-            self.wellformed_rules = []
-        self.lint = lint
-        self.consistency = consistency
-        self.registry = DEFAULT_REGISTRY if registry is None else registry
-        if config is None:
-            config = LintConfig(disabled={"uml-wellformed"}
-                                if self.wellformed_rules else set())
-        self.config = config
+    def __init__(self, session: Session,
+                 families: Optional[Iterable[str]]):
+        self.model = session.model
+        self.families = families = session._resolve_families(families)
+        self.structural = "structural" in families
+        self.invariants = "invariant" in families
+        self.constraint_sets = (session.constraint_sets
+                                if "constraint" in families else [])
+        self.wellformed = "wellformed" in families
+        self.rule_families = [family for family in RULE_FAMILIES
+                              if family in families]
+        self.registry = session.registry
+        self.config = session._lint_config(families)
 
         self._units: Dict[tuple, _Unit] = {}
         # non-empty results only; a unit that reports nothing has no entry
@@ -306,7 +287,6 @@ class IncrementalEngine:
         # the keys of _results in unit order; None once a key came or went
         self._ordered: Optional[List[tuple]] = None
         self._next_seq = itertools.count()
-        self._kind_counts: Counter = Counter()   # unit kind -> live units
         self._deps = DependencyGraph()
         self._dirty: Set[tuple] = set()
         self._elements: Dict[int, Element] = {}
@@ -335,25 +315,6 @@ class IncrementalEngine:
 
     # -- lifecycle ---------------------------------------------------------
 
-    @staticmethod
-    def _resolve_scope(scope: Scope) -> Model:
-        if isinstance(scope, Model):
-            return scope
-        if isinstance(scope, Element):
-            roots = [scope]
-        else:
-            roots = list(scope)
-            if not roots:
-                raise ValueError("incremental scope needs at least one root")
-        shared = getattr(roots[0], "_model", None)
-        if shared is not None and all(
-                getattr(root, "_model", None) is shared for root in roots):
-            return shared
-        model = Model(f"urn:incremental:{roots[0].eid}")
-        for root in roots:
-            model.add_root(root)
-        return model
-
     def detach(self) -> None:
         """Stop observing; the caches stay readable but go stale silently."""
         if self._attached:
@@ -378,14 +339,11 @@ class IncrementalEngine:
                   keys: List[tuple]) -> None:
         unit.seq = next(self._next_seq)
         self._units[key] = unit
-        self._kind_counts[unit.kind] += 1
         self._dirty.add(key)
         keys.append(key)
 
     def _drop_unit(self, key: tuple) -> None:
-        unit = self._units.pop(key, None)
-        if unit is not None:
-            self._kind_counts[unit.kind] -= 1
+        self._units.pop(key, None)
         if self._results.pop(key, None) is not None:
             self._ordered = None
         self._deps.drop(key)
@@ -394,70 +352,45 @@ class IncrementalEngine:
         self._dirty.discard(key)
         self._quarantine.pop(key, None)
 
-    def _element_invariants(self, element: Element) -> List[Any]:
-        seen: Set[int] = set()
-        found: List[Any] = []
-        if self.invariants:
-            for metaclass in [element.meta] + element.meta.all_superclasses():
-                for invariant in metaclass.invariants:
-                    if id(invariant) not in seen:
-                        seen.add(id(invariant))
-                        found.append(invariant)
-        for constraint_set in self.constraint_sets:
-            for invariant in constraint_set.invariants:
-                if element.meta.conforms_to(invariant.context) \
-                        and id(invariant) not in seen:
-                    seen.add(id(invariant))
-                    found.append(invariant)
-        return found
-
-    def _target_rules(self, target_kind: str) -> List[Tuple[LintRule, type]]:
-        """(rule, unit class) pairs for the enabled rule families."""
-        specs: List[Tuple[LintRule, type]] = []
-        if self.lint:
-            for rule in self.registry.rules(target_kind, self.config,
-                                            families=("lint",)):
-                specs.append((rule, LintUnit))
-        if self.consistency:
-            for rule in self.registry.rules(target_kind, self.config,
-                                            families=("consistency",)):
-                specs.append((rule, ConsistencyUnit))
-        return specs
+    def _add_lint_units(self, target: Any, target_kind: str,
+                        keys: List[tuple]) -> None:
+        """A unit per rule of the selected rule families for *target*."""
+        for rule in self.registry.rules(target_kind, self.config,
+                                        families=self.rule_families):
+            self._add_unit(("lint", rule.name, target),
+                           LintUnit(rule, target, self.config, self.registry),
+                           keys)
 
     def _add_element(self, element: Element) -> None:
         keys: List[tuple] = []
+        metaclasses = [element.meta] + element.meta.all_superclasses()
         if self.structural:
             self._add_unit(("struct", element), StructuralUnit(element), keys)
-        for invariant in self._element_invariants(element):
-            self._add_unit(("inv", invariant, element),
-                           InvariantUnit(invariant, element), keys)
-        if self.lint or self.consistency:
-            from ..uml.activities import Activity
-            from ..uml.interactions import Interaction
-            from ..uml.statemachines import StateMachine
-            target_kind = None
-            if isinstance(element, StateMachine):
-                target_kind = "statemachine"
-            elif isinstance(element, Activity):
-                target_kind = "activity"
-            elif isinstance(element, Interaction):
-                target_kind = "interaction"
-            if target_kind is not None:
-                for rule, unit_cls in self._target_rules(target_kind):
+        if self.invariants:
+            seen: Set[int] = set()
+            for metaclass in metaclasses:
+                for invariant in metaclass.invariants:
+                    if id(invariant) not in seen:
+                        seen.add(id(invariant))
+                        self._add_unit(("inv", invariant, element),
+                                       InvariantUnit(invariant, element),
+                                       keys)
+        for constraint_set in self.constraint_sets:
+            for invariant in constraint_set.invariants:
+                if element.meta.conforms_to(invariant.context):
                     self._add_unit(
-                        ("lint", rule.name, element),
-                        unit_cls(rule, element, self.config, self.registry),
-                        keys)
-        for metaclass in [element.meta] + element.meta.all_superclasses():
+                        ("con", constraint_set, invariant, element),
+                        ConstraintUnit(invariant, element), keys)
+        if self.rule_families:
+            target_kind = element_target(element)
+            if target_kind is not None:
+                self._add_lint_units(element, target_kind, keys)
+        for metaclass in metaclasses:
             count = self._mc_counts.get(metaclass, 0)
             self._mc_counts[metaclass] = count + 1
-            if count == 0 and (self.lint or self.consistency):
+            if count == 0 and self.rule_families:
                 mc_keys: List[tuple] = []
-                for rule, unit_cls in self._target_rules("metaclass"):
-                    self._add_unit(
-                        ("lint", rule.name, metaclass),
-                        unit_cls(rule, metaclass, self.config, self.registry),
-                        mc_keys)
+                self._add_lint_units(metaclass, "metaclass", mc_keys)
                 if mc_keys:
                     self._mc_keys[metaclass] = mc_keys
         self._element_keys[id(element)] = keys
@@ -476,20 +409,12 @@ class IncrementalEngine:
 
     def _add_root_units(self, root: Element) -> None:
         keys: List[tuple] = []
-        if self.wellformed_rules and self._is_uml_package(root):
-            for rule in self.wellformed_rules:
+        if self.wellformed and isinstance(root, Package):
+            for rule in WELLFORMED_RULES:
                 self._add_unit(("wf", rule, root),
                                WellformedUnit(rule, root), keys)
-        for rule, unit_cls in self._target_rules("model"):
-            self._add_unit(
-                ("lint", rule.name, root),
-                unit_cls(rule, root, self.config, self.registry), keys)
+        self._add_lint_units(root, "model", keys)
         self._root_keys[id(root)] = keys
-
-    @staticmethod
-    def _is_uml_package(root: Element) -> bool:
-        from ..uml.package import Package
-        return isinstance(root, Package)
 
     # -- membership sync ---------------------------------------------------
 
@@ -718,7 +643,7 @@ class IncrementalEngine:
 
     def revalidate(self) -> None:
         """Bring every cached result up to date (read them with
-        :meth:`report`, :meth:`report_by_kind` or :meth:`check_result`).
+        :meth:`report` or :meth:`check_result`).
 
         When the observability layer is on, each pass is wrapped in an
         ``incremental.revalidate`` span and the cache hit/miss balance
@@ -795,29 +720,18 @@ class IncrementalEngine:
             report.diagnostics.extend(self._results[key])
         return report
 
-    def report_by_kind(self) -> Dict[str, ValidationReport]:
-        """Cached diagnostics split per checker family (unit ``kind``);
-        every kind that has units is present, even with no diagnostics."""
-        out = {kind: ValidationReport()
-               for kind, count in self._kind_counts.items() if count}
+    def check_result(self) -> CheckResult:
+        """Cached diagnostics as a :class:`repro.session.CheckResult`
+        with one list per selected family, in the session's family
+        order and empty where a family found nothing, so a watching
+        client renders server-pushed documents with the same renderer,
+        and the same families, as a batch ``Session.check``."""
+        by_family: Dict[str, List[Diagnostic]] = {
+            family: [] for family in self.families}
+        units, results = self._units, self._results
         for key in self._result_keys():
-            out[self._units[key].kind].diagnostics.extend(self._results[key])
-        return out
-
-    def check_result(self):
-        """Cached diagnostics as a :class:`repro.session.CheckResult`.
-
-        Unit kinds map one-to-one onto the session's checker families
-        (extra :class:`~repro.ocl.invariants.ConstraintSet` invariants
-        run as ``invariant`` units and report there), so a watching
-        client renders server-pushed documents with the same renderer a
-        batch ``Session.check`` uses.
-        """
-        from ..session import FAMILIES, CheckResult
-        kinds = self.report_by_kind()
-        return CheckResult({
-            family: list(kinds[family].diagnostics)
-            for family in FAMILIES if family in kinds})
+            by_family[units[key].kind].extend(results[key])
+        return CheckResult(by_family)
 
     def unit_count(self) -> int:
         return len(self._units)
@@ -880,19 +794,19 @@ class IncrementalEngine:
             return problems     # the report scan below needs every unit
         # the reference: a scan of every unit, in unit order
         scanned: List[Diagnostic] = []
-        by_kind: Dict[str, List[Diagnostic]] = {}
+        by_family: Dict[str, List[int]] = {
+            family: [] for family in self.families}
         for key, unit in self._units.items():
             diagnostics = self._results.get(key, ())
             scanned.extend(diagnostics)
-            by_kind.setdefault(unit.kind, []).extend(diagnostics)
+            by_family[unit.kind].extend(map(id, diagnostics))
         if list(map(id, self.report().diagnostics)) != list(map(id, scanned)):
             problems.append("report() differs from the scan of every unit")
-        split = {kind: list(map(id, report.diagnostics))
-                 for kind, report in self.report_by_kind().items()}
-        if split != {kind: list(map(id, found))
-                     for kind, found in by_kind.items()}:
+        split = {family: list(map(id, diagnostics)) for family, diagnostics
+                 in self.check_result().by_family.items()}
+        if split != by_family:
             problems.append(
-                "report_by_kind() differs from the scan of every unit")
+                "check_result() differs from the scan of every unit")
         return problems
 
     def __repr__(self) -> str:
@@ -924,10 +838,3 @@ def diagnostic_key(diagnostic: Diagnostic) -> tuple:
 def report_signature(report: ValidationReport) -> Counter:
     """Order-insensitive multiset signature of a report's diagnostics."""
     return Counter(diagnostic_key(d) for d in report.diagnostics)
-
-
-def watch(scope: Scope, **kwargs: Any) -> IncrementalEngine:
-    """Create an engine over *scope* and prime its caches."""
-    engine = IncrementalEngine(scope, **kwargs)
-    engine.revalidate()
-    return engine

@@ -12,7 +12,7 @@ the observable difference between a PIM and a PSM (experiment E2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from ..mof.kernel import Element
 from ..mof.query import all_contents

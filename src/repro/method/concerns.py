@@ -11,13 +11,12 @@ measure precision/recall against seeded pollution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Sequence, Set
 
 from ..mof.kernel import Element
 from ..mof.query import all_contents
 from ..mof.validate import Severity, ValidationReport
 from ..platforms.base import PlatformModel
-from ..uml import Clazz, Property
 from .abstraction import platform_vocabulary
 
 # Suffixes that smell of execution platforms even without a platform model

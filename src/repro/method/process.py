@@ -16,10 +16,8 @@ from typing import Any, List, Optional, Union
 
 from ..mof.kernel import Element
 from ..platforms.base import PlatformModel
-from ..transform.chain import GateVerdict
 from ..transform.engine import Transformation, TransformationResult
-from ..transform.errors import GateClosedError
-from .abstraction import AbstractionLevel, ModelStack
+from .abstraction import ModelStack
 from .testing import ModelTestSuite, SuiteResult
 
 

@@ -10,7 +10,7 @@ and adapts to a transformation-chain gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Sequence, Union
 
 from ..mof.kernel import Element
 from ..mof.validate import ValidationReport, validate_tree

@@ -18,7 +18,7 @@ from .kernel import (
     MetaPackage,
     Reference,
 )
-from .types import M_01, M_0N, M_11, Multiplicity, PrimitiveType
+from .types import M_01, Multiplicity, PrimitiveType
 
 
 def define_package(name: str, uri: Optional[str] = None,

@@ -72,7 +72,7 @@ from __future__ import annotations
 import os
 from itertools import compress
 from operator import attrgetter
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
                     Optional, Tuple)
 
 from .kernel import Element, MetaClass

@@ -51,7 +51,6 @@ from .errors import (
 from .notify import ChangeKind, Notification, ObserverMixin
 from .types import (
     M_01,
-    M_0N,
     Multiplicity,
     PrimitiveType,
 )

@@ -51,7 +51,7 @@ from . import kernel as _kernel
 from . import notify as _notify
 from . import repository as _repository
 from .errors import TransactionError
-from .kernel import Element, FeatureList, Reference
+from .kernel import Element, Reference
 from .notify import ChangeKind, Notification
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Optional
+from typing import Any, List, Optional
 
-from .kernel import Attribute, Element, Feature, Reference
+from .kernel import Element, Feature, Reference
 
 
 class Severity(enum.Enum):

@@ -7,7 +7,7 @@ its source position for error reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
 
 from ..mof.columns import ATTR1, LENN, REF1, REFN, ColumnStore, ExtentColumns
-from ..mof.kernel import Element, MetaClass, Reference
+from ..mof.kernel import Element
 from .ast import (
     ArrowCall,
     BinOp,

@@ -19,7 +19,7 @@ from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .ast import Node
 from .compile import CompiledExpression, compile_expression, parse_cached
-from .evaluator import Environment, OclEvaluator, _EVALUATOR, truthy
+from .evaluator import Environment, _EVALUATOR, truthy
 
 
 class Invariant:

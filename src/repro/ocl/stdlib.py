@@ -10,7 +10,7 @@ by deduplication (identity first, equality fallback) where OCL requires it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
 from .errors import OclEvaluationError, OclTypeError
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..mof.kernel import Attribute, MetaClass, MetaPackage, Reference
 from .ast import (
@@ -55,7 +55,6 @@ from .ast import (
 )
 from .compile import parse_cached
 from .errors import OclSyntaxError
-from .parser import parse
 
 # ---------------------------------------------------------------------------
 # The type lattice

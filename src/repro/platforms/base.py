@@ -10,7 +10,7 @@ the separation the paper calls "the key to success".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..mof import (
     Attribute,

@@ -12,7 +12,7 @@ designers ask of a model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..mof.query import instances_of
 from ..uml import Behavior, Clazz, Package

@@ -23,8 +23,6 @@ syntactic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
 from ..mof.kernel import Element
 from ..transform.engine import Transformation, TransformationContext
 from ..transform.library import flatten_state_machine
@@ -36,7 +34,6 @@ from ..uml import (
     Clazz,
     DataType,
     Enumeration,
-    EnumerationLiteral,
     Generalization,
     Interface,
     Operation,

@@ -12,7 +12,7 @@ content, not decoration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..mof import MInteger, MReal, MString
 from ..platforms.base import PlatformModel

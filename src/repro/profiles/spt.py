@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..mof import MBoolean, MInteger, MReal, MString
 from ..uml import Clazz, Package

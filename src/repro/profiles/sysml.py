@@ -10,12 +10,12 @@ be *tested for coverage*, not just listed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..mof import MString
 from ..uml import Clazz, Dependency, NamedElement, Package
 from ..mof.query import instances_of
-from .base import Profile, applications_of
+from .base import Profile
 
 SYSML = Profile("SysML", "Systems Modeling Language (lite)")
 

@@ -25,7 +25,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .analysis import LintConfig, ModelLinter, RuleRegistry
+from .analysis import DEFAULT_REGISTRY, LintConfig, ModelLinter, RuleRegistry
 from .mof.kernel import Element
 from .mof.repository import Model
 from .mof.validate import (
@@ -236,8 +236,8 @@ class Session:
     """One model scope plus everything needed to check it uniformly.
 
     *scope* is a :class:`~repro.mof.repository.Model`, a single root
-    element, or a sequence of roots (same contract as the incremental
-    engine).  *constraint_sets* supplies detached
+    element, or a sequence of roots (checked as the model they share, or
+    as a private model over them).  *constraint_sets* supplies detached
     :class:`~repro.ocl.invariants.ConstraintSet` groups for the
     ``constraint`` family; *registry*/*lint_config* parameterize the
     ``lint`` family.
@@ -248,11 +248,10 @@ class Session:
                  registry: Optional[RuleRegistry] = None,
                  lint_config: Optional[LintConfig] = None,
                  columnar: bool = False):
-        from .incremental.engine import IncrementalEngine
         self.scope = scope
-        self.model = IncrementalEngine._resolve_scope(scope)
+        self.model = _resolve_scope(scope)
         self.constraint_sets = list(constraint_sets)
-        self.registry = registry
+        self.registry = DEFAULT_REGISTRY if registry is None else registry
         self.lint_config = lint_config
         if columnar:
             # per-metaclass struct-of-arrays extents (repro.mof.columns):
@@ -401,14 +400,19 @@ class Session:
                 out.extend(run_wellformed_rules(root).diagnostics)
         return out
 
+    def _lint_config(self, selected: Tuple[str, ...]) -> LintConfig:
+        """The lint config of a run of the *selected* families: the
+        session's own, or by default one that disables the
+        ``uml-wellformed`` bridge rule when the wellformed family
+        already reports the uml-* rules it would repeat."""
+        if self.lint_config is not None:
+            return self.lint_config
+        return LintConfig(disabled={"uml-wellformed"}
+                          if "wellformed" in selected else set())
+
     def _check_lint(self, selected: Tuple[str, ...] = ()
                     ) -> List[Diagnostic]:
-        config = self.lint_config
-        if config is None and "wellformed" in selected:
-            # the wellformed family already reports the uml-* rules;
-            # don't let lint's bundled bridge rule repeat them
-            config = LintConfig(disabled={"uml-wellformed"})
-        linter = ModelLinter(self.registry, config)
+        linter = ModelLinter(self.registry, self._lint_config(selected))
         return list(linter.lint(*self.model.roots).diagnostics)
 
     def _check_consistency(self) -> List[Diagnostic]:
@@ -440,32 +444,17 @@ class Session:
 
     # -- incremental checking ----------------------------------------------
 
-    def watch(self, families: Optional[Iterable[str]] = None, *,
-              wellformed_rules: Optional[Iterable[Any]] = None):
+    def watch(self, families: Optional[Iterable[str]] = None):
         """An incrementally maintained :meth:`check` over this scope.
 
         Returns a primed :class:`~repro.incremental.IncrementalEngine`
-        restricted to the requested families; after each model edit,
-        ``engine.revalidate()`` re-runs only the (check, element) units
-        whose recorded read set the edit touched.
+        over the requested families (the same default as :meth:`check`);
+        after each model edit, ``engine.revalidate()`` re-runs only the
+        check units whose recorded read set the edit touched, and
+        ``engine.check_result()`` lists the families :meth:`check` lists.
         """
         from .incremental.engine import IncrementalEngine
-        selected = self._resolve_families(families)
-        wellformed = "wellformed" in selected
-        engine = IncrementalEngine(
-            self.scope,
-            structural="structural" in selected,
-            invariants="invariant" in selected,
-            constraint_sets=(self.constraint_sets
-                             if "constraint" in selected else ()),
-            wellformed=wellformed,
-            wellformed_rules=(list(wellformed_rules)
-                              if wellformed_rules is not None and wellformed
-                              else None),
-            lint="lint" in selected,
-            consistency="consistency" in selected,
-            registry=self.registry,
-            config=self.lint_config)
+        engine = IncrementalEngine(self, families)
         engine.revalidate()
         return engine
 
@@ -514,6 +503,28 @@ class Session:
         return (f"<Session model={self.model.uri!r} "
                 f"roots={len(self.model.roots)} "
                 f"constraint_sets={len(self.constraint_sets)}>")
+
+
+def _resolve_scope(scope: Scope) -> Model:
+    """The model a session checks: *scope* itself, the model its roots
+    share, or a private model over them, so that element notifications
+    reach a session's incremental views."""
+    if isinstance(scope, Model):
+        return scope
+    if isinstance(scope, Element):
+        roots = [scope]
+    else:
+        roots = list(scope)
+        if not roots:
+            raise ValueError("incremental scope needs at least one root")
+    shared = getattr(roots[0], "_model", None)
+    if shared is not None and all(
+            getattr(root, "_model", None) is shared for root in roots):
+        return shared
+    model = Model(f"urn:incremental:{roots[0].eid}")
+    for root in roots:
+        model.add_root(root)
+    return model
 
 
 def runtime_stats() -> Dict[str, Any]:

@@ -22,7 +22,6 @@ from ..uml.statemachines import (
     Region,
     State,
     StateMachine,
-    Transition,
     Vertex,
 )
 from .engine import Transformation, TransformationContext

@@ -15,7 +15,7 @@ by the :func:`rule` decorator.  Lazy rules are only applied on demand via
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from ..mof.kernel import Element, MetaClass
 from ..ocl import Environment, evaluate, parse

@@ -8,7 +8,7 @@ tracked back to the PIM requirement it realises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from ..mof.kernel import Element
 

@@ -22,10 +22,9 @@ Mapping:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 from ..mof import (
-    M_0N,
     MBoolean,
     MString,
     MetaPackage,
@@ -37,7 +36,7 @@ from ..uml import (
     Property,
     UmlModel,
 )
-from .engine import Transformation, TransformationContext
+from .engine import Transformation
 from .rule import Rule
 
 # ---------------------------------------------------------------------------

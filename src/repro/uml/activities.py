@@ -19,7 +19,7 @@ from ..mof import (
     Reference,
 )
 from .classifiers import Behavior
-from .package import NamedElement, UML
+from .package import NamedElement
 
 
 class ActivityNode(NamedElement):

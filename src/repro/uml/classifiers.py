@@ -8,7 +8,7 @@ classifiers live here and use string targets resolved within the shared
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from ..mof import (
     Attribute,
@@ -17,7 +17,7 @@ from ..mof import (
     MString,
     Reference,
 )
-from .package import NamedElement, PackageableElement, UML
+from .package import NamedElement, PackageableElement
 
 
 class Type(PackageableElement):

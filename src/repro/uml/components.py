@@ -18,7 +18,7 @@ from ..mof import (
     Reference,
 )
 from .classifiers import Clazz, Interface
-from .package import NamedElement, PackageableElement, UML
+from .package import NamedElement, PackageableElement
 
 
 class Port(NamedElement):

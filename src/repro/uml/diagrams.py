@@ -8,7 +8,7 @@ dependency.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..mof.query import instances_of
 from .activities import (

@@ -7,17 +7,16 @@ associations together, and owns the standard primitive data types
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Union
 
 from .classifiers import (
     Classifier,
     Clazz,
-    DataType,
     Enumeration,
     Interface,
     PrimitiveDataType,
 )
-from .features import Operation, Parameter, Property
+from .features import Operation, Property
 from .package import Package, UmlModel
 from .relationships import Association
 

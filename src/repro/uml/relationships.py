@@ -21,7 +21,7 @@ from ..mof import (
 )
 from .classifiers import Classifier, Clazz, Interface
 from .features import Property
-from .package import PackageableElement, UML
+from .package import PackageableElement
 
 M_22 = Multiplicity(2, 2)
 

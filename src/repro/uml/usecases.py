@@ -22,7 +22,6 @@ from ..mof import (
 )
 from .classifiers import Classifier
 from .interactions import Interaction
-from .package import NamedElement, PackageableElement, UML
 
 
 class Actor(Classifier):

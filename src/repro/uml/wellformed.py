@@ -19,9 +19,9 @@ from __future__ import annotations
 from typing import Callable, List, Set
 
 from ..mof import Severity, ValidationReport, instances_of
-from .classifiers import Classifier, Clazz, Interface, StructuredClassifier
+from .classifiers import Classifier, Clazz, StructuredClassifier
 from .features import Property
-from .interactions import Interaction, Lifeline
+from .interactions import Interaction
 from .package import Package
 from .relationships import Association
 from .statemachines import (

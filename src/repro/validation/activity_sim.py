@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..codegen.actions import parse_actions
-from ..codegen.ir import AssignStmt, CallStmt, CommentStmt, SendStmt
+from ..codegen.ir import AssignStmt
 from ..ocl import Environment, evaluate
 from ..ocl.errors import OclError
 from ..uml.activities import (

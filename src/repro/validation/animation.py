@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .collaboration import Collaboration, TraceEntry
+from .collaboration import Collaboration
 
 
 def timeline(collaboration: Collaboration, *,

@@ -13,7 +13,6 @@ scenario tests and the model checker agree on semantics.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 

@@ -16,18 +16,14 @@ These numbers are what experiment E1 sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..mof import instances_of
 from ..uml import (
-    Association,
     Behavior,
     Classifier,
     Clazz,
-    Interface,
     Package,
-    Property,
-    StructuredClassifier,
 )
 
 

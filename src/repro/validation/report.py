@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 from ..analysis import LintConfig, ModelLinter
 from ..method.concerns import check_domain_purity
-from ..mof.validate import ValidationReport, validate_tree
+from ..mof.validate import validate_tree
 from ..platforms.base import PlatformModel
 from ..profiles.sysml import traceability_matrix
 from ..uml import Package
@@ -83,15 +83,8 @@ def build_quality_report(root: Package, *,
                          include_traceability: bool = False,
                          max_coupling_density: float = 0.75,
                          max_single_operation_ratio: float = 0.5,
-                         incremental=None,
                          severity: Optional[str] = None) -> QualityReport:
     """Run every applicable model test over *root* and fold the results.
-
-    When *incremental* is a primed
-    :class:`repro.incremental.IncrementalEngine` over *root*, the
-    structural, well-formedness and lint sections are served from its
-    (freshly revalidated) caches instead of full re-walks — the metrics,
-    purity and traceability sections are cheap and always recomputed.
 
     *severity* is the shared CLI floor (``info``/``warning``/``error``):
     diagnostic lines below it are omitted from the diagnostic sections.
@@ -105,21 +98,11 @@ def build_quality_report(root: Package, *,
         if severity else 0
     report = QualityReport(root.name or "(unnamed)")
 
-    if incremental is not None:
-        incremental.revalidate()
-        kinds = incremental.report_by_kind()
-        structural = kinds.get("structural", ValidationReport())
-        structural.extend(kinds.get("invariant", ValidationReport()))
-        wellformed = kinds.get("wellformed", ValidationReport())
-        lint = kinds.get("lint", ValidationReport())
-        consistency = kinds.get("consistency", ValidationReport())
-    else:
-        structural = validate_tree(root)
-        wellformed = run_wellformed_rules(root)
-        lint = ModelLinter(config=LintConfig(
-            disabled={"uml-wellformed"})).lint(root)
-        consistency = ModelLinter(
-            families=("consistency",)).lint(root)
+    structural = validate_tree(root)
+    wellformed = run_wellformed_rules(root)
+    lint = ModelLinter(config=LintConfig(
+        disabled={"uml-wellformed"})).lint(root)
+    consistency = ModelLinter(families=("consistency",)).lint(root)
 
     report.sections.append(SectionResult(
         "structural validity", structural.ok,

@@ -16,7 +16,7 @@ messages.  Nothing here constructs functionality from use cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..uml import Interaction, UseCase
 from .collaboration import Collaboration

@@ -10,8 +10,8 @@ executes is exactly what the generated code will do.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from ..codegen.actions import parse_actions
 from ..codegen.ir import AssignStmt, CallStmt, CommentStmt, SendStmt

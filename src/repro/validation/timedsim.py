@@ -21,10 +21,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..platforms.base import CommunicationMechanism, PlatformModel
-from ..uml import Clazz
-from .collaboration import Collaboration, TraceEntry
-from .statemachine_sim import Event, ObjectInstance, SimulationError
+from ..platforms.base import PlatformModel
+from .collaboration import Collaboration
+from .statemachine_sim import Event, ObjectInstance
 
 
 @dataclass(order=True)

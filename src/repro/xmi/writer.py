@@ -18,7 +18,7 @@ reconstructed by the kernel on load.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Union
 
 from ..mof.kernel import Attribute, Element, Feature, Reference
 from ..mof.repository import Model

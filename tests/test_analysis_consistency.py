@@ -37,9 +37,9 @@ from repro.analysis import (
 from repro.analysis import rules_consistency
 from repro.incremental import IncrementalEngine, report_signature
 from repro.mof import MInteger, transaction
-from repro.mof.validate import Severity, validate_tree
+from repro.mof.validate import Severity, ValidationReport, validate_tree
 from repro.ocl.invariants import Invariant
-from repro.session import Session
+from repro.session import DEFAULT_FAMILIES, Session
 from repro.uml.factory import ModelFactory
 from repro.uml.interactions import Interaction
 from repro.uml.statemachines import StateMachine
@@ -537,7 +537,7 @@ def test_incremental_parity_with_consistency(seed):
     stack over fuzzed edits of interaction-bearing models."""
     generator = xd_generator(seed)
     root = generator.generate(30 + (seed % 4) * 8)
-    engine = IncrementalEngine(root, consistency=True)
+    engine = IncrementalEngine(Session(root), DEFAULT_FAMILIES)
     fuzzer = EditFuzzer(root, seed=seed + 31_000, generator=generator)
     history = []
     for step in range(EDITS_PER_SEED + 1):
@@ -565,7 +565,7 @@ def test_hand_built_model_parity_over_targeted_edits():
     batch."""
     f, scenario = bank_model()
     root = f.model
-    engine = IncrementalEngine(f.model, consistency=True)
+    engine = IncrementalEngine(Session(f.model), DEFAULT_FAMILIES)
 
     def check():
         engine.revalidate()
@@ -604,7 +604,7 @@ def test_single_edit_reruns_few_units():
     """A message rename re-runs only the interaction-scoped units, not
     the whole model's worth."""
     f, scenario = bank_model()
-    engine = IncrementalEngine(f.model, consistency=True)
+    engine = IncrementalEngine(Session(f.model), DEFAULT_FAMILIES)
     engine.revalidate()
     total = engine.unit_count()
     scenario.messages[0].name = "open"          # no-op value, real write
@@ -625,9 +625,7 @@ def test_engine_keeps_no_stale_flattened_machine():
     inner = active.add_region("inner")
     inner.add_transition(inner.add_initial(), inner.add_state("Busy"))
     orphan = next(v for v in region.subvertices if v.name == "Orphan")
-    engine = IncrementalEngine(f.model, structural=False, invariants=False,
-                               wellformed=False, lint=False,
-                               consistency=True)
+    engine = IncrementalEngine(Session(f.model), ["consistency"])
     engine.revalidate()
     observed = len(engine._external)
     assert observed > 0
@@ -677,14 +675,15 @@ def test_xd005_reads_extents_not_the_tree(monkeypatch):
 
 def test_xd005_reruns_when_an_unsatisfiable_pair_is_created():
     f, _ = bank_model()
-    engine = IncrementalEngine(f.model, consistency=True)
+    engine = IncrementalEngine(Session(f.model), DEFAULT_FAMILIES)
     engine.revalidate()
     key = _xd005_key(engine)
 
     def consistency():
         engine.revalidate()
         found = engine.report()
-        assert report_signature(engine.report_by_kind()["consistency"]) \
+        by_family = engine.check_result().by_family
+        assert report_signature(ValidationReport(by_family["consistency"])) \
             == report_signature(consistency_lint(f.model))
         return codes(found, "XD005")
 
@@ -699,15 +698,12 @@ def test_xd005_reruns_when_an_unsatisfiable_pair_is_created():
     engine.detach()
 
 
-def test_report_by_kind_splits_families():
+def test_check_result_splits_families():
     f, _ = bank_model(defects=("unresolved",))
-    engine = IncrementalEngine(f.model, consistency=True)
+    engine = IncrementalEngine(Session(f.model), DEFAULT_FAMILIES)
     engine.revalidate()
-    kinds = engine.report_by_kind()
-    assert "consistency" in kinds
-    assert any(d.code == "XD001"
-               for d in kinds["consistency"].diagnostics)
-    assert not any(d.code.startswith("XD")
-                   for d in kinds.get("lint",
-                                      type(kinds["consistency"])()).diagnostics)
+    by_family = engine.check_result().by_family
+    assert tuple(by_family) == DEFAULT_FAMILIES
+    assert any(d.code == "XD001" for d in by_family["consistency"])
+    assert not any(d.code.startswith("XD") for d in by_family["lint"])
     engine.detach()

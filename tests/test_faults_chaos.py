@@ -218,9 +218,10 @@ def test_transform_retry_exhaustion_falls_through_to_skip():
 def test_checker_chaos_quarantines_and_recovers(seed):
     from repro.incremental import IncrementalEngine, report_signature
     from repro.mof.validate import validate_tree
+    from repro.session import Session
     generator = demo_generator(seed)
     root = generator.generate(35)
-    engine = IncrementalEngine(root, wellformed=False, lint=False)
+    engine = IncrementalEngine(Session(root), ["structural", "invariant"])
     fuzzer = EditFuzzer(root, seed=seed, generator=generator)
     plan = faults.FaultPlan(seed=_plan_seed(seed), rate=0.25,
                             sites=["checker.run"])

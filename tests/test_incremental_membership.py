@@ -54,7 +54,7 @@ def library():
     root = demo_generator(seed=5).generate(40)
     model = Model("urn:membership")
     model.add_root(root)
-    engine = IncrementalEngine(model, wellformed=False, lint=False)
+    engine = IncrementalEngine(Session(model), ["structural", "invariant"])
     assert_consistent(engine)
     yield model, root, engine
     engine.detach()
@@ -137,8 +137,9 @@ def test_externally_observed_element_enters_scope(library):
     constraints = ConstraintSet("sequels")
     constraints.add(classifier("GBook"), "sequel-has-pages",
                     "self.sequel.oclIsUndefined() or self.sequel.pages >= 0")
-    engine = IncrementalEngine(model, wellformed=False, lint=False,
-                               constraint_sets=[constraints])
+    engine = IncrementalEngine(
+        Session(model, constraint_sets=[constraints]),
+        ["structural", "invariant", "constraint"])
     assert_consistent(engine)
     outsider = classifier("GBook")(name="outsider", pages=-2)
     reader = shelves_with_books(root)[0].books[0]
@@ -233,8 +234,7 @@ def test_record_reads_join_the_unit_reads():
     clazz = factory.clazz("A")
     model = Model("urn:named")
     model.add_root(factory.model)
-    engine = IncrementalEngine(model, structural=False, invariants=False,
-                               wellformed=False, registry=registry)
+    engine = IncrementalEngine(Session(model, registry=registry), ["lint"])
     engine.revalidate()
     clazz.name = "Renamed"
     engine.revalidate()
@@ -300,8 +300,7 @@ def test_instance_order_follows_a_containment_move():
     b = factory.clazz("B")
     model = Model("urn:ordered")
     model.add_root(factory.model)
-    engine = IncrementalEngine(model, structural=False, invariants=False,
-                               wellformed=False, registry=registry)
+    engine = IncrementalEngine(Session(model, registry=registry), ["lint"])
 
     def messages():
         engine.revalidate()
@@ -333,8 +332,9 @@ def test_all_instances_invariant_reruns_on_its_own_extent(library,
         return holds(element)
 
     monkeypatch.setattr(staffing, "holds", counting)
-    engine = IncrementalEngine(model, wellformed=False, lint=False,
-                               constraint_sets=[constraints])
+    engine = IncrementalEngine(
+        Session(model, constraint_sets=[constraints]),
+        ["structural", "invariant", "constraint"])
 
     def reruns():
         # the engine's calls only; the oracle evaluates it once more
@@ -367,8 +367,9 @@ def test_write_to_a_book_that_left_reaches_its_readers(comes_back):
     constraints = ConstraintSet("sequels")
     constraints.add(classifier("GBook"), "sequel-pages",
                     "self.sequel.oclIsUndefined() or self.sequel.pages >= 0")
-    engine = IncrementalEngine(model, wellformed=False, lint=False,
-                               constraint_sets=[constraints])
+    engine = IncrementalEngine(
+        Session(model, constraint_sets=[constraints]),
+        ["structural", "invariant", "constraint"])
     assert_consistent(engine)
     books = instances_of(root, classifier("GBook"))
     for book in books:
@@ -402,7 +403,7 @@ def test_association_that_left_and_came_back_rechecks_its_ends():
     end = association.member_ends[0]
     model = Model("urn:assoc")
     model.add_root(factory.model)
-    engine = IncrementalEngine(model, wellformed=False, lint=False)
+    engine = IncrementalEngine(Session(model), ["structural", "invariant"])
     assert_consistent(engine)
     factory.model.packaged_elements.remove(package)
     end.association = None              # unlinks the detached end too
@@ -457,7 +458,7 @@ def test_kernel_repair_after_raw_damage(damage, code, repair):
     shelf, other = shelves_with_books(root)[:2]
     book = shelf.books[0]
     damage(root, shelf, other, book)    # no notification: not a kernel edit
-    engine = IncrementalEngine(model, wellformed=False, lint=False)
+    engine = IncrementalEngine(Session(model), ["structural", "invariant"])
     engine.revalidate()
     assert code in {d.code for d in engine.report().diagnostics}
     assert_consistent(engine)

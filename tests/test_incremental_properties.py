@@ -25,7 +25,11 @@ from repro.generate import EditFuzzer, demo_generator, uml_generator
 from repro.analysis import LintConfig, ModelLinter
 from repro.incremental import IncrementalEngine, report_signature
 from repro.mof.validate import validate_tree
+from repro.session import Session
 from repro.uml.wellformed import run_wellformed_rules
+
+#: the families the UML pairs check, consistency aside
+UML_FAMILIES = ["structural", "invariant", "wellformed", "lint"]
 
 DEMO_PAIRS = 120
 UML_PAIRS = 80
@@ -60,7 +64,7 @@ def test_demo_metamodel_pair(seed):
     """Structural + invariant diagnostics stay oracle-equal under edits."""
     generator = demo_generator(seed=seed)
     root = generator.generate(30 + (seed % 4) * 10)
-    engine = IncrementalEngine(root, wellformed=False, lint=False)
+    engine = IncrementalEngine(Session(root), ["structural", "invariant"])
 
     def oracle():
         return report_signature(validate_tree(root))
@@ -82,7 +86,7 @@ def test_uml_metamodel_pair(seed):
     lint) stays oracle-equal under edits to random UML models."""
     generator = uml_generator(seed=seed)
     root = generator.generate(35 + (seed % 3) * 10)
-    engine = IncrementalEngine(root)
+    engine = IncrementalEngine(Session(root), UML_FAMILIES)
     linter = ModelLinter(config=LintConfig(disabled={"uml-wellformed"}))
 
     def oracle():
@@ -111,7 +115,7 @@ def test_engine_runs_fewer_units_than_scratch():
     small fraction of the units (the cache actually caches)."""
     generator = demo_generator(seed=424)
     root = generator.generate(60)
-    engine = IncrementalEngine(root, wellformed=False, lint=False)
+    engine = IncrementalEngine(Session(root), ["structural", "invariant"])
     engine.revalidate()
     total = engine.unit_count()
 
@@ -129,7 +133,7 @@ def test_incremental_matches_recompute_from_scratch():
     with the cached path — so benchmarks compare equal work."""
     generator = uml_generator(seed=99)
     root = generator.generate(45)
-    engine = IncrementalEngine(root)
+    engine = IncrementalEngine(Session(root), UML_FAMILIES)
     fuzzer = EditFuzzer(root, seed=77, generator=generator)
     engine.revalidate()
     fuzzer.apply_random_edits(4)

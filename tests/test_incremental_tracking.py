@@ -141,7 +141,7 @@ def test_untracked_mutes_only_the_innermost_collector():
 
 def _warm_engine():
     session = Session.generate("demo", size=60, seed=2, repair=False)
-    engine = IncrementalEngine(session.model, wellformed=False, lint=False)
+    engine = IncrementalEngine(session, ["structural", "invariant"])
     engine.revalidate()
     assert engine.verify() == []
     return engine

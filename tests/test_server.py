@@ -288,6 +288,7 @@ class TestSharedView:
                 full = client.request("check", repo="main",
                                       incremental=False)
                 assert served["epoch"] == full["epoch"] == epoch
+                assert list(served["families"]) == list(full["families"])
                 assert diagnostic_multiset(served) == \
                     diagnostic_multiset(full)
                 for key in ("ok", "errors", "warnings", "infos"):

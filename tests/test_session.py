@@ -13,7 +13,8 @@ import json
 import pytest
 
 from repro.analysis import ModelLinter
-from repro.generate import demo_generator, demo_package, uml_generator
+from repro.generate import (EditFuzzer, demo_generator, demo_package,
+                            uml_generator)
 from repro.incremental import report_signature
 from repro.mof import Model
 from repro.mof.validate import ValidationReport, validate_tree
@@ -51,6 +52,21 @@ def _constraint_set():
                     "owned_attributes->notEmpty() or "
                     "owned_operations->notEmpty()")
     return constraints
+
+
+def _corpus_constraint_set():
+    """One set for both corpora: a UML invariant, a demo one, and a
+    registered demo invariant, which then reports in both the
+    ``invariant`` and the ``constraint`` family."""
+    constraints = _constraint_set()
+    book = demo_package().classifier("GBook")
+    constraints.add(book, "long", "self.pages > 10")
+    constraints.invariants.append(book.invariants[0])
+    return constraints
+
+
+#: every single family, the default selection, and all six families
+VIEW_SELECTIONS = [(family,) for family in FAMILIES] + [None, FAMILIES]
 
 
 class TestParity:
@@ -131,6 +147,43 @@ class TestParity:
         assert {d.code for d in full} == {"invariant-error"}
         assert report_signature(ValidationReport(full)) == \
             report_signature(ValidationReport(view))
+
+    # seeds whose corpus and edits change the diagnostics of several
+    # families
+    @pytest.mark.parametrize("generator,seed",
+                             [(demo_generator, 7), (uml_generator, 1)],
+                             ids=["demo", "uml"])
+    @pytest.mark.parametrize("families", VIEW_SELECTIONS,
+                             ids=[*FAMILIES, "default", "all"])
+    def test_view_lists_the_families_check_lists(self, generator, seed,
+                                                 families):
+        """A view's ``check_result()`` has ``Session.check``'s family
+        keys, in the same order, and per family the same multiset, both
+        once primed and after fuzzed edits."""
+        corpus = generator(seed)
+        root = corpus.generate(40)
+        session = Session(root, constraint_sets=[_corpus_constraint_set()]
+                          if families == FAMILIES else ())
+        view = session.watch(families)
+
+        def assert_view_is_check():
+            full = session.check(families).by_family
+            served = view.check_result().by_family
+            assert list(served) == list(full)
+            for family, diagnostics in full.items():
+                assert report_signature(ValidationReport(served[family])) \
+                    == report_signature(ValidationReport(diagnostics)), \
+                    family
+
+        try:
+            assert_view_is_check()
+            EditFuzzer(root, seed=11, generator=corpus) \
+                .apply_random_edits(10)
+            view.revalidate()
+            assert_view_is_check()
+            assert view.verify() == []
+        finally:
+            view.detach()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_watch_matches_batch_check(self, seed):
