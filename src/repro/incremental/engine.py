@@ -12,6 +12,15 @@ diagnostics and its exact read set.  A change notification then
 invalidates precisely the units whose last run read the changed slot;
 everything else is served from cache.
 
+Two dependencies are left out of the read sets, because the engine
+learns of their changes anyway.  A structural unit depends on its own
+element: every notification of the element, and every re-entry of it
+into the model, dirties the unit directly (see :class:`StructuralUnit`).
+An invariant depends on its element's root: the invariant records one
+read, the element's own container, and a root changes only when the
+element leaves or enters the model, which reruns every reader of that
+container (see ``Invariant._holds_impl``).
+
 Element membership comes from the model's
 :class:`~repro.mof.index.ModelIndex`, which already derives enter/leave
 transitions from containment-side notifications and root hooks.  The
@@ -94,17 +103,20 @@ class StructuralUnit(_Unit):
     """``validate_element`` (multiplicities, opposites, containment) for
     one element; invariants are carried by :class:`InvariantUnit`.
 
-    Only the multiplicity check is tracked.  The link audits
-    (:func:`~repro.mof.validate.audit_links`) run untracked: no kernel
-    edit can break one of the element's links or children without
-    writing one of its own slots, and the multiplicity check read every
-    one of them.  A write made while the element was outside the model
-    notifies no one, but the sync that sees it back invalidates all its
-    readers, this unit among them.  Raw damage done after the unit ran
-    notifies no one and is the full pass's to find.  An audit that
-    reports damage runs again tracked, so the reads behind its
-    diagnostics (the names their ``path`` renders among them) are
-    recorded and a later repair or rename reruns the unit."""
+    Both checks run untracked, so a unit that reports nothing records no
+    read.  Its dependency is implicit instead: the multiplicity check
+    reads only the element's own slots, and no kernel edit can break one
+    of the element's links or children (the audits,
+    :func:`~repro.mof.validate.audit_links`) without writing one of
+    those slots.  Every such write notifies the element, and the engine
+    dirties the unit directly on every notification of its element.  A
+    write made while the element was outside the model notifies no one,
+    but the sync that sees the element back dirties the unit the same
+    way.  Raw damage done after the unit ran notifies no one and is the
+    full pass's to find.  A check that reports something runs again
+    tracked, so the reads behind its diagnostics (the names their
+    ``path`` renders among them) are recorded and a later repair or
+    rename reruns the unit."""
 
     __slots__ = ("element",)
     kind = "structural"
@@ -113,16 +125,15 @@ class StructuralUnit(_Unit):
         self.element = element
 
     def run(self) -> List[Diagnostic]:
-        element = self.element
-        report = ValidationReport()
-        _check_multiplicities(element, report)
-        diagnostics = report.diagnostics
-        tracked = len(diagnostics)
-        with untracked():
-            audit_links(element, report)
-        if len(diagnostics) > tracked:
-            del diagnostics[tracked:]
-            audit_links(element, report)
+        diagnostics: List[Diagnostic] = []
+        for check in (_check_multiplicities, audit_links):
+            report = ValidationReport()
+            with untracked():
+                check(self.element, report)
+            if report.diagnostics:
+                report = ValidationReport()
+                check(self.element, report)
+                diagnostics += report.diagnostics
         return diagnostics
 
 
@@ -491,15 +502,27 @@ class IncrementalEngine:
     def _invalidate_readers_of(self, element: Element) -> None:
         # a unit that read an element which has since left the scope must
         # rerun: its rerun reads the element while outside, so the element
-        # is observed on its own and later writes to it reach the engine
+        # is observed on its own and later writes to it reach the engine.
+        # An element back since the last sync also reruns its structural
+        # unit, which records no read of it.
+        self._invalidate_structural(element)
         for name in element.meta.all_features():
             self._invalidate((element, name))
         self._invalidate((element, CONTAINER_KEY))
+
+    def _invalidate_structural(self, element: Element) -> None:
+        # the implicit dependency of a structural unit (StructuralUnit):
+        # any notification of its element, and any re-entry, dirties it
+        key = ("struct", element)
+        if key in self._units and key not in self._dirty:
+            self._dirty.add(key)
+            self.stats.invalidations += 1
 
     def _on_change(self, notification: Notification) -> None:
         self.stats.notifications += 1
         feature = notification.feature
         element = notification.element
+        self._invalidate_structural(element)
         self._invalidate((element, feature.name))
         if getattr(feature, "containment", False):
             for value in (notification.old, notification.new):

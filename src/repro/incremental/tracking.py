@@ -9,12 +9,18 @@ model root as one *extent read*, ``(metaclass, EXTENT_KEY)`` (see
 that stream for the duration of one check, giving the engine the exact
 read set — ``(object, feature_name)`` pairs — of every invariant,
 well-formedness rule and lint rule it runs; :func:`untracked` mutes the
-innermost tap for checks whose verdict the kernel guarantees.
-:class:`DependencyGraph` inverts those read sets into a ``read key ->
-reader units`` index so a change notification maps to the units it
-invalidates in O(readers).
+innermost tap for checks whose dependencies the engine knows without
+them.  :class:`DependencyGraph` inverts those read sets into a ``read
+key -> reader units`` index so a change notification maps to the units
+it invalidates in O(readers).
 
-The index has one edge per (unit, key) pair, several per element, so it
+Two dependencies stay out of the index.  A structural unit that reports
+nothing records no read of its element, and an OCL invariant finds
+its element's root with one recorded read, the element's own container,
+not one per ancestor.  The engine dirties those units from notifications and
+membership transitions instead (see :mod:`repro.incremental.engine`).
+
+The index has one edge per (unit, key) pair, a few per element, so it
 is kept compact: each distinct key is interned once as an integer slot,
 a unit's reads are one tuple of slots, and a slot's readers are a tuple
 while few (nearly every key has one to four) and a set past a fixed
@@ -82,8 +88,8 @@ def untracked() -> Iterator[None]:
     so nesting stays as :func:`collect_reads` promises.  The kernel's
     tracking depth is left alone: the bulk fast paths stay off, so the
     block reads the same objects a tracked run would.  For checks whose
-    verdict the kernel itself guarantees to the innermost engine (see
-    ``StructuralUnit.run``).
+    dependencies the innermost engine learns without their reads (see
+    ``StructuralUnit``).
     """
     hook = kernel.set_read_hook(None)
     kernel.set_read_hook(getattr(hook, "outer", hook))

@@ -27,7 +27,8 @@ cross-object invariants of MOF models:
 
 1. *opposite consistency* — ``a in b.f  <=>  b in a.f.opposite``;
 2. *single container* — an element is contained by at most one containment
-   slot at a time, and containment is acyclic.
+   slot at a time, containment is acyclic, and a root of a model is not
+   contained at all.
 
 Model loads build through the ``_load_*`` construction primitives
 instead: the same writes and checks on elements no one can observe yet,
@@ -850,9 +851,27 @@ def _unlink(source: "Element", feature: Reference, target: "Element",
                                         position=opp_position))
 
 
+def _check_containable(container: "Element", child: "Element") -> None:
+    """Refuse to put *child* into *container*: it may be neither an
+    ancestor of *container* (a cycle) nor a root of a model.  As
+    ``Model.add_root`` admits only container-less elements, a model root
+    never has a container, so an element's root changes only when it
+    enters or leaves a model (the model index's transitions)."""
+    if child is container or any(a is child for a in _ancestors(container)):
+        raise CompositionError(
+            f"containment cycle: {child!r} already (transitively) "
+            f"contains {container!r}"
+        )
+    if child._model is not None:
+        raise CompositionError(
+            f"{child!r} is a root of {child._model!r}; a model root "
+            f"cannot be contained")
+
+
 def _link(source: "Element", feature: Reference, target: "Element",
           *, position: Optional[int] = None) -> None:
-    """Establish ``source --feature--> target`` and its inverse atomically."""
+    """Establish ``source --feature--> target`` and its inverse atomically;
+    refused (:func:`_check_containable`) before anything is written."""
     _check_mutable(source)
     feature.check_type(target)
     opposite = feature.opposite
@@ -860,19 +879,10 @@ def _link(source: "Element", feature: Reference, target: "Element",
         # linking writes the target's inverse slot as well
         _check_mutable(target)
 
-    # Containment cycle guard: target may not be an ancestor of source.
     if feature.containment:
-        if target is source or any(a is target for a in _ancestors(source)):
-            raise CompositionError(
-                f"containment cycle: {target!r} already (transitively) "
-                f"contains {source!r}"
-            )
+        _check_containable(source, target)
     if opposite is not None and opposite.containment:
-        if source is target or any(a is source for a in _ancestors(target)):
-            raise CompositionError(
-                f"containment cycle: {source!r} already (transitively) "
-                f"contains {target!r}"
-            )
+        _check_containable(target, source)
 
     # Displace current occupants of single-valued ends.
     if not feature.many:

@@ -51,7 +51,10 @@ class Model:
         self._columns: Optional["ColumnStore"] = None
 
     def add_root(self, element: Element) -> Element:
-        """Attach a (container-less) element as a root of this model."""
+        """Attach a (container-less) element as a root of this model.
+
+        While it is a root, the kernel refuses to contain it
+        (``CompositionError`` from ``kernel._link``)."""
         if element.container is not None:
             raise RepositoryError(
                 f"{element!r} is contained by {element.container!r}; only "

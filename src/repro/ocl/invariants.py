@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..mof.kernel import Element, MetaClass, MetaPackage
+from ..mof import kernel as _kernel
+from ..mof.kernel import CONTAINER_KEY, Element, MetaClass, MetaPackage
 from ..mof.query import instances_of
 from ..mof.repository import Model
 from ..mof.validate import Severity, ValidationReport, check_invariant
@@ -78,10 +79,19 @@ class Invariant:
         # reused across calls — the closures only read it (iterator
         # variables live in child environments they create themselves), so
         # rebinding ``self`` and, when the root changes, the instance scope
-        # is all a call needs.  element.root() is read eagerly (not under
-        # the lambda) so dependency tracking sees the same container-chain
-        # reads the interpreter performs.
-        root = element.root()
+        # is all a call needs.  The root is found by a hook-free walk,
+        # and dependency tracking sees one read, the element's own
+        # container.  That read is enough: a model root is never
+        # contained (kernel._link), so the root changes only when the
+        # element leaves or enters a model, and the incremental engine
+        # then reruns every reader of the element's container.  It keeps
+        # a move under a root of another metapackage exact, since the
+        # type namespace depends on the root's package.
+        if _kernel._READ_HOOK is not None:
+            _kernel._READ_HOOK(element, CONTAINER_KEY)
+        root = element
+        while root._container is not None:
+            root = root._container
         key = (id(element.meta.package), id(root.meta.package))
         entry = self._env_cache.get(key)
         if entry is None:

@@ -237,7 +237,8 @@ class Session:
 
     *scope* is a :class:`~repro.mof.repository.Model`, a single root
     element, or a sequence of roots (checked as the model they share, or
-    as a private model over them).  *constraint_sets* supplies detached
+    as a private model over them); every family checks every root of
+    that model, ``self.model``.  *constraint_sets* supplies detached
     :class:`~repro.ocl.invariants.ConstraintSet` groups for the
     ``constraint`` family; *registry*/*lint_config* parameterize the
     ``lint`` family.
@@ -248,7 +249,6 @@ class Session:
                  registry: Optional[RuleRegistry] = None,
                  lint_config: Optional[LintConfig] = None,
                  columnar: bool = False):
-        self.scope = scope
         self.model = _resolve_scope(scope)
         self.constraint_sets = list(constraint_sets)
         self.registry = DEFAULT_REGISTRY if registry is None else registry
@@ -431,15 +431,11 @@ class Session:
         return list(report.diagnostics)
 
     def _check_constraint(self) -> List[Diagnostic]:
+        # over the whole model, as every other family: only a Model scope
+        # gets the columnar row plans
         out: List[Diagnostic] = []
-        scopes: List[Union[Model, Element]]
-        if isinstance(self.scope, (Model, Element)):
-            scopes = [self.scope]
-        else:
-            scopes = list(self.model.roots)
         for constraint_set in self.constraint_sets:
-            for scope in scopes:
-                out.extend(constraint_set.evaluate(scope).diagnostics)
+            out.extend(constraint_set.evaluate(self.model).diagnostics)
         return out
 
     # -- incremental checking ----------------------------------------------

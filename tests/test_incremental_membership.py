@@ -19,11 +19,12 @@ from repro import faults
 from repro.analysis.registry import RuleRegistry, lint_rule
 from repro.generate import demo_generator, demo_package
 from repro.incremental import IncrementalEngine, report_signature
-from repro.mof import Model, instances_of
+from repro.mof import M_0N, Model, instances_of
+from repro.mof.dynamic import add_reference, define_class, define_package
 from repro.mof.txn import transaction
 from repro.mof.validate import (Diagnostic, Severity, ValidationReport,
                                 validate_tree)
-from repro.ocl.invariants import ConstraintSet
+from repro.ocl.invariants import ConstraintSet, Invariant
 from repro.session import Session
 from repro.uml.classifiers import Clazz
 from repro.uml.factory import ModelFactory
@@ -465,3 +466,47 @@ def test_kernel_repair_after_raw_damage(damage, code, repair):
     repair(root, shelf, other, book)
     assert_consistent(engine)
     engine.detach()
+
+
+def test_move_under_a_root_of_another_metapackage_reruns_the_invariant():
+    """An invariant resolves type names in its element's root's
+    metapackage too.  A thing moved from a ``BHolder`` root (package pb)
+    under an ``ARoot`` root (package pa) can no longer name ``BHolder``,
+    though none of the thing's slots changed: the one root read the
+    invariant records, the thing's own container, reruns it, and the
+    view equals a fresh check."""
+    pa = define_package("pa", "urn:test:pa")
+    pb = define_package("pb", "urn:test:pb")
+    thing = define_class(pa, "AThing")
+    a_root = define_class(pa, "ARoot")
+    holder = define_class(pb, "BHolder")
+    add_reference(a_root, "things", thing, containment=True,
+                  multiplicity=M_0N)
+    add_reference(holder, "things", thing, containment=True,
+                  multiplicity=M_0N)
+    Invariant(thing, "holder-exists",
+              "BHolder.allInstances()->notEmpty()").register()
+    here, there = a_root.instantiate(), holder.instantiate()
+    model = Model("urn:two-packages")
+    model.add_root(here)
+    model.add_root(there)
+    item = thing.instantiate()
+    there.things.append(item)
+    session = Session(model)
+    view = session.watch(["structural", "invariant"])
+
+    def served_codes():
+        view.revalidate()
+        assert view.verify() == []
+        served = view.check_result()
+        fresh = session.check(["structural", "invariant"])
+        assert report_signature(served.as_validation_report()) == \
+            report_signature(fresh.as_validation_report())
+        return [d.code for d in served.diagnostics]
+
+    try:
+        assert served_codes() == []
+        here.things.append(item)
+        assert served_codes() == ["invariant-error"]
+    finally:
+        view.detach()

@@ -184,6 +184,41 @@ class TestOppositesAndContainment:
         with pytest.raises(CompositionError):
             b.children.append(a)
 
+    def test_model_root_is_never_contained(self):
+        """Containing a model root, from the containment end or from the
+        container-side opposite, is refused before anything is written:
+        the model index announces no transition for a root that gains a
+        container, so a view would lose it once it left that container."""
+        from repro.generate import demo_package
+        from repro.incremental import report_signature
+        from repro.session import Session
+        session = Session.generate("demo", size=60, seed=3, repair=False)
+        model = session.model
+        (library,) = model.roots
+        shelves = list(library.shelves)
+        pkg = demo_package()
+        loose = pkg.classifier("GShelf")(name="loose")
+        loose.books.append(pkg.classifier("GBook")(name="torn", pages=-1))
+        model.add_root(loose)
+        view = session.watch()
+        try:
+            with pytest.raises(CompositionError):
+                library.shelves.append(loose)
+            with pytest.raises(CompositionError):
+                loose.library = library
+            assert list(library.shelves) == shelves
+            assert loose.container is None and loose.library is None
+            assert model.roots == [library, loose]
+            view.revalidate()
+            assert model.index().verify() == []
+            assert view.verify() == []
+            fresh = session.check().as_validation_report()
+            served = view.check_result().as_validation_report()
+            assert len(fresh.diagnostics) == 8
+            assert report_signature(served) == report_signature(fresh)
+        finally:
+            view.detach()
+
     def test_contents_and_all_contents(self, library):
         lib, b1, b2 = library
         ch = TChapter(name="c1")

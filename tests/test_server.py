@@ -457,6 +457,30 @@ class TestEditTxn:
             assert element.eget("name") == original
             assert state.epoch == 0
 
+    def test_edit_txn_adding_a_root_is_txn_failed(self, server):
+        # a model root cannot be contained: the kernel refuses the add,
+        # and the root the same batch created is rolled back with it
+        state = host_corpus(server)
+        library = state.model.roots[0]
+        roots, size = list(state.model.roots), state.model.size()
+        shelves = list(library.eget("shelves"))
+        with InProcessClient(server) as client:
+            ops = [{"op": "create", "metaclass": "GShelf",
+                    "attrs": {"name": "loose"}, "as": "loose"},
+                   {"op": "add", "element": library.eid,
+                    "feature": "shelves", "ref": "$loose"}]
+            with pytest.raises(RemoteError) as excinfo:
+                client.request("edit-txn", repo="main", base_epoch=0,
+                               ops=ops)
+            error = excinfo.value
+            assert error.code == "txn-failed"
+            assert error.data["rolled_back"] is True
+            assert state.model.roots == roots
+            assert state.model.size() == size
+            assert list(library.eget("shelves")) == shelves
+            assert state.model.index().verify() == []
+            assert state.epoch == 0
+
     def test_fuzzed_edit_txns_leave_no_link_damage(self, server):
         """Edits through the kernel keep both ends of every link in step:
         after fuzzed edit-txns that move, detach, create and delete

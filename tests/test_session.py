@@ -185,6 +185,38 @@ class TestParity:
         finally:
             view.detach()
 
+    def test_constraint_family_covers_every_root(self):
+        """A session over one root of a two-root model checks the whole
+        model in every family, the constraint family included, and its
+        view reports the same."""
+        from repro.ocl import ConstraintSet
+        first = demo_generator(3).generate(40)
+        second = demo_generator(4).generate(40)
+        model = Model("urn:two-roots")
+        model.add_root(first)
+        model.add_root(second)
+        constraints = ConstraintSet("thick")
+        constraints.add(demo_package().classifier("GBook"), "thick",
+                        "self.pages > 10")
+        families = ("invariant", "constraint")
+        session = Session(first, constraint_sets=[constraints])
+        full = session.check(families).by_family
+        whole = Session(model, constraint_sets=[constraints]) \
+            .check(families).by_family
+        assert {family: len(found) for family, found in full.items()} \
+            == {"invariant": 12, "constraint": 10}
+        assert [d.element for d in full["constraint"]] == \
+            [d.element for d in whole["constraint"]]
+        view = session.watch(families)
+        try:
+            served = view.check_result().by_family
+            for family, diagnostics in full.items():
+                assert report_signature(ValidationReport(served[family])) \
+                    == report_signature(ValidationReport(diagnostics)), \
+                    family
+        finally:
+            view.detach()
+
     @pytest.mark.parametrize("seed", range(5))
     def test_watch_matches_batch_check(self, seed):
         # the incremental view agrees with the batch view per family
