@@ -17,9 +17,9 @@ recovery machinery protects:
     "checker that crashes mid-watch" scenario;
 ``io.write`` / ``io.write.partial`` / ``io.replace``
     the staged file-IO protocol in :mod:`repro.xmi.persist`;
-    ``io.write.partial`` fires after half the payload is on disk, so an
-    armed plan leaves a torn temp file behind — exactly the crash an
-    atomic save must survive;
+    ``io.write.partial`` fires with part of the payload on disk (half
+    its first piece, flushed), so an armed plan leaves a torn temp file
+    behind — exactly the crash an atomic save must survive;
 ``wal.append``
     each write-ahead-log append in :mod:`repro.server.durability`,
     fired before the record's bytes reach the file — the append fails,

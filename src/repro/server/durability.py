@@ -29,9 +29,10 @@ log per hosted repository.  The contract:
 
 Record format: one JSON object per line; the ``crc`` key holds the
 SHA-256 (truncated) of the record's canonical serialization without
-it.  A line that does not parse, lacks the checksum, or fails it is a
-*torn tail* when it is the final line (truncated silently) and
-corruption when it is not (typed :class:`WalCorruptError`).
+it, and is written after the record's own keys.  A line that does not
+parse, lacks the checksum, or fails it is a *torn tail* when it is the
+final line (truncated silently) and corruption when it is not (typed
+:class:`WalCorruptError`).
 
 Compaction rides :func:`save_model`: after ``compact_every`` appended
 transactions the current model is snapshotted to
@@ -39,13 +40,15 @@ transactions the current model is snapshotted to
 single origin record naming it, and older snapshot generations are
 removed only afterwards — a crash between the two steps leaves the old
 log still pointing at the old, still-present snapshot.  Snapshots are
-sealed JSON (:mod:`repro.xmi.persist`): the canonical compact dump of
-the model document plus a spliced digest, so a compaction encodes the
-model once.  Compaction runs after the triggering edit-txn's record is
-durable, so a failed compaction (disk full, EIO, an injected ``io.*``
-fault) does not fail that edit: it is acknowledged and watchers are
-notified, the failure is counted (``server.wal.compact_failures``,
-:meth:`WriteAheadLog.stats`), and the next edit-txn retries.
+sealed JSON (:mod:`repro.xmi.persist`): the canonical compact text of
+the model document, streamed element by element under a running digest
+that replaces its closing brace, so a compaction holds neither the
+document nor its whole text.  Compaction runs after the triggering
+edit-txn's record is durable, so a failed compaction (disk full, EIO,
+an injected ``io.*`` fault) does not fail that edit: it is acknowledged
+and watchers are notified, the failure is counted
+(``server.wal.compact_failures``, :meth:`WriteAheadLog.stats`), and the
+next edit-txn retries.
 
 Fault sites: ``wal.append`` (fires before the bytes are written) and
 ``wal.replay`` (fires before each recovered transaction re-applies).
@@ -99,12 +102,15 @@ def _checksum(payload: str) -> str:
 
 
 def encode_record(record: Dict[str, Any]) -> bytes:
-    """One log line: the record plus a ``crc`` over its canonical form."""
+    """One log line: the record's canonical form, dumped once, with a
+    ``crc`` over it inserted before its closing brace.
+
+    :func:`decode_record` pops ``crc`` and re-dumps the rest, so a line
+    verifies wherever its ``crc`` key sits — logs that wrote it at its
+    sorted position still verify."""
     payload = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    sealed = dict(record)
-    sealed["crc"] = _checksum(payload)
-    return (json.dumps(sealed, sort_keys=True, separators=(",", ":"))
-            + "\n").encode("utf-8")
+    return (f'{payload[:-1]},"crc":"{_checksum(payload)}"}}\n'
+            .encode("utf-8"))
 
 
 def decode_record(line: bytes) -> Optional[Dict[str, Any]]:
@@ -196,7 +202,7 @@ class WriteAheadLog:
         origin = {"type": "origin", "repo": self.repo, "epoch": epoch,
                   "snapshot": snapshot}
         atomic_write_text(self.path,
-                          encode_record(origin).decode("utf-8"),
+                          [encode_record(origin).decode("utf-8")],
                           keep_backup=False)
         self.records_since_snapshot = 0
         self._open_append()
@@ -320,7 +326,7 @@ class WriteAheadLog:
                   "snapshot": snapshot}
         self.close()
         atomic_write_text(self.path,
-                          encode_record(origin).decode("utf-8"),
+                          [encode_record(origin).decode("utf-8")],
                           keep_backup=False)
         self._open_append()
         self.records_since_snapshot = 0

@@ -20,13 +20,16 @@ file unreadable without a recovery path*:
   truncated or garbled input.
 
 Sealed JSON is the document's canonical form (sorted keys, no
-whitespace), built once and encoded once by the C encoder, with the
-``"sha256"`` key of that exact text spliced in before the closing
-brace.  The loader parses the file, drops the key and re-dumps it
-canonically, so any key order or indentation verifies — files sealed
-pretty-printed (``indent=2``) by earlier releases still load.  The model
-is built from that one parse.  An XML seal is looked for only in the
-text's last characters, since only whitespace may follow it.
+whitespace, ASCII escapes) with the ``"sha256"`` key of that exact text
+in place of its closing brace.  It is streamed: the canonical text is
+produced element by element (:func:`repro.xmi.jsonio.canonical_pieces`),
+joined into ~64 KiB chunks, hashed by a running SHA-256 and written as
+it goes, so a save holds neither the document nor its whole text.  The
+loader parses the file, drops the key and re-dumps it canonically, so
+any key order or indentation verifies — files sealed pretty-printed
+(``indent=2``) by earlier releases still load.  The model is built from
+that one parse.  An XML seal is looked for only in the text's last
+characters, since only whitespace may follow it.
 
 Fault-injection probes (``io.write``, ``io.write.partial``,
 ``io.replace``) cover the three crash windows; the chaos suite drives
@@ -40,16 +43,17 @@ import json
 import os
 import re
 import shutil
-from typing import Iterable, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Union
 
 from .. import faults as _faults
 from ..mof.errors import MofError
 from ..mof.kernel import Element, MetaPackage
 from ..mof.repository import Model, Repository
+from ..obs import trace as _trace
 from .builder import traced_read
-from .jsonio import JsonReader, encode_json
+from .jsonio import JsonReader, canonical_dump, canonical_pieces
 from .reader import read_xml
-from .writer import write_xml
+from .writer import _observe_io, write_xml
 
 _XML_DIGEST_RE = re.compile(
     r"\n?<!--repro:sha256:([0-9a-f]{64})-->\s*$")
@@ -59,6 +63,9 @@ _XML_DIGEST_RE = re.compile(
 _XML_SEAL_CHARS = 85
 
 _DIGEST_KEY = "sha256"
+
+#: characters a sealed JSON stream joins before it hashes and writes them
+_CHUNK_CHARS = 1 << 16
 
 
 class PersistenceError(MofError):
@@ -130,16 +137,59 @@ def _check_xml(text: str, path: str,
 
 
 def _canonical_json(document: dict) -> str:
-    body = {k: v for k, v in document.items() if k != _DIGEST_KEY}
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return canonical_dump({k: v for k, v in document.items()
+                           if k != _DIGEST_KEY})
 
 
-def _seal_json(document: dict) -> str:
-    # one C-encoded canonical dump, hashed as is; the digest key goes in
-    # before the closing brace, so the loader's canonical re-dump
-    # (without it) reproduces exactly the hashed text
-    payload = _canonical_json(document)
-    return f'{payload[:-1]},"{_DIGEST_KEY}":"{_digest(payload)}"}}'
+def _chunks(pieces: Iterable[str]) -> Iterator[str]:
+    """*pieces* joined into strings of about :data:`_CHUNK_CHARS`."""
+    buffer: List[str] = []
+    size = 0
+    for piece in pieces:
+        buffer.append(piece)
+        size += len(piece)
+        if size >= _CHUNK_CHARS:
+            yield "".join(buffer)
+            buffer.clear()
+            size = 0
+    if buffer:
+        yield "".join(buffer)
+
+
+def _sealed_json(source: Union[Model, Element]) -> Iterator[str]:
+    """*source*'s sealed JSON text in chunks.  The canonical text is
+    hashed as it streams; its closing brace is held back and the digest
+    key goes in its place, so the loader's canonical re-dump (without
+    the key) reproduces exactly the hashed text."""
+    digest = hashlib.sha256()
+    held = ""
+    for chunk in _chunks(canonical_pieces(source)):
+        digest.update(chunk.encode("utf-8"))
+        if held:
+            yield held
+        held = chunk
+    yield f'{held[:-1]},"{_DIGEST_KEY}":"{digest.hexdigest()}"}}'
+
+
+def _stream_json(source: Union[Model, Element],
+                 sink: Callable[[Iterator[str]], Any]) -> Any:
+    """``sink`` applied to *source*'s sealed JSON chunks, inside one
+    ``xmi.write`` span while tracing is on."""
+    chunks = _sealed_json(source)
+    if not _trace.ON:
+        return sink(chunks)
+    written = 0
+
+    def counted() -> Iterator[str]:
+        nonlocal written
+        for chunk in chunks:
+            written += len(chunk)
+            yield chunk
+
+    with _trace.span("xmi.write", format="json") as sp:
+        result = sink(counted())
+    _observe_io(sp, "xmi.write", "json", source, written)
+    return result
 
 
 def _check_json(text: str, path: str,
@@ -166,11 +216,15 @@ def _check_json(text: str, path: str,
 # Atomic write
 # ---------------------------------------------------------------------------
 
-def atomic_write_text(path: Union[str, os.PathLike], text: str, *,
+def atomic_write_text(path: Union[str, os.PathLike],
+                      pieces: Iterable[str], *,
                       keep_backup: bool = True) -> None:
-    """Write *text* to *path* with write-to-temp + fsync + atomic rename.
+    """Write the concatenation of *pieces* to *path* with
+    write-to-temp + fsync + atomic rename.
 
-    When *keep_backup* is true and *path* already exists, the current
+    Each piece is written as the iteration reaches it, so a streamed
+    text is never held whole; pass ``[text]`` for one text.  When
+    *keep_backup* is true and *path* already exists, the current
     content survives as ``<path>.bak``.  A crash (or injected fault) at
     any point leaves either the old generation, or the old generation
     plus a torn ``.tmp``/complete ``.bak`` — never a torn *path*.
@@ -179,14 +233,19 @@ def atomic_write_text(path: Union[str, os.PathLike], text: str, *,
     tmp_path = f"{path}.tmp.{os.getpid()}"
     if _faults.ACTIVE is not None:
         _faults.probe("io.write")
-    half = len(text) // 2
+    pieces = iter(pieces)
     try:
         with open(tmp_path, "w", encoding="utf-8") as handle:
-            handle.write(text[:half])
+            first = next(pieces, "")
+            half = len(first) // 2
+            handle.write(first[:half])
             if _faults.ACTIVE is not None:
-                # the torn-file crash: half a payload is on disk
+                # the torn-file crash: half the first piece is on disk
+                handle.flush()
                 _faults.probe("io.write.partial")
-            handle.write(text[half:])
+            handle.write(first[half:])
+            for piece in pieces:
+                handle.write(piece)
             handle.flush()
             os.fsync(handle.fileno())
         if keep_backup and os.path.exists(path):
@@ -232,7 +291,7 @@ def serialize_model(source: Union[Model, Element], *,
     the output round-trips through :func:`load_model` either way.
     """
     if format == "json":
-        return encode_json(source, _seal_json)
+        return _stream_json(source, "".join)
     if format in ("xmi", "xml"):
         return _seal_xml(write_xml(source))
     raise ValueError(f"unknown serialization format {format!r}; "
@@ -245,8 +304,12 @@ def save_model(source: Union[Model, Element], path: Union[str, os.PathLike],
     """Serialize *source* and save it crash-safely; return the format used."""
     path = os.fspath(path)
     fmt = _detect_format(path, format)
-    text = serialize_model(source, format=fmt)
-    atomic_write_text(path, text, keep_backup=keep_backup)
+    if fmt == "json":
+        _stream_json(source, lambda chunks: atomic_write_text(
+            path, chunks, keep_backup=keep_backup))
+    else:
+        atomic_write_text(path, [serialize_model(source, format=fmt)],
+                          keep_backup=keep_backup)
     return fmt
 
 

@@ -283,11 +283,14 @@ class TestAtomicity:
         save_model(model, path, keep_backup=False)
         assert not os.path.exists(backup_path(path))
 
-    @pytest.mark.parametrize("site", ["io.write", "io.write.partial",
-                                      "io.replace"])
+    # the XMI cases keep their plain ids; sealed JSON is streamed
+    @pytest.mark.parametrize("name,site", [
+        pytest.param(name, site, id=site + suffix)
+        for name, suffix in (("m.xmi", ""), ("m.json", "-json"))
+        for site in ("io.write", "io.write.partial", "io.replace")])
     def test_crash_window_leaves_old_generation_loadable(
-            self, model, tmp_path, site):
-        path = tmp_path / "m.xmi"
+            self, model, tmp_path, name, site):
+        path = tmp_path / name
         save_model(model, path)
         model.roots[0].books[0].pages = 77
         plan = faults.FaultPlan(seed=1, rate=1.0, sites=[site])
@@ -299,10 +302,43 @@ class TestAtomicity:
         assert loaded.roots[0].books[0].pages == 10
         assert not [n for n in os.listdir(tmp_path) if ".tmp." in n]
 
+    @pytest.mark.parametrize("size,chunks", [(20, "one"),
+                                             (1_000, "several")])
+    def test_partial_write_fires_with_part_of_a_streamed_payload_on_disk(
+            self, tmp_path, monkeypatch, size, chunks):
+        from repro.generate import demo_package, generate_model
+        model = generate_model("demo", size=size, seed=0,
+                               repair=False).model
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        complete = path.read_bytes()
+        assert (len(complete) > persist._CHUNK_CHARS) == (chunks == "several")
+        on_disk = []
+        probe = faults.probe
+
+        def spy(site):
+            if site == "io.write.partial":
+                [tmp] = [n for n in os.listdir(tmp_path) if ".tmp." in n]
+                on_disk.append((tmp_path / tmp).read_bytes())
+            return probe(site)
+
+        monkeypatch.setattr(faults, "probe", spy)
+        plan = faults.FaultPlan(seed=1, rate=1.0,
+                                sites=["io.write.partial"])
+        with pytest.raises(faults.InjectedFault):
+            with faults.injected(plan):
+                save_model(model, path)
+        [torn] = on_disk
+        assert 0 < len(torn) < len(complete)
+        assert complete.startswith(torn)
+        assert path.read_bytes() == complete
+        assert not [n for n in os.listdir(tmp_path) if ".tmp." in n]
+        assert load_model(path, [demo_package()]).size() == size
+
     def test_atomic_write_text_plain(self, tmp_path):
         path = tmp_path / "note.txt"
-        atomic_write_text(path, "one")
-        atomic_write_text(path, "two")
+        atomic_write_text(path, ["one"])
+        atomic_write_text(path, ["t", "", "wo"])
         assert path.read_text(encoding="utf-8") == "two"
         assert (tmp_path / "note.txt.bak").read_text(
             encoding="utf-8") == "one"

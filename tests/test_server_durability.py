@@ -85,6 +85,29 @@ class TestWalRecords:
         assert flipped != line
         assert durability.decode_record(flipped) is None
 
+    def test_both_crc_positions_verify_and_any_flipped_byte_fails(self):
+        """A line is the record's canonical dump with ``crc`` inserted
+        before its closing brace.  Logs that wrote ``crc`` at its sorted
+        position verify too, and flipping any one byte of either form
+        fails it."""
+        record = {"type": "txn", "epoch": 3,
+                  "ops": [rename_op("e1", "Ärger"), create_op("X")]}
+        payload = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        crc = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        line = durability.encode_record(record)
+        assert line == f'{payload[:-1]},"crc":"{crc}"}}\n'.encode("utf-8")
+        sorted_form = json.dumps(dict(record, crc=crc), sort_keys=True,
+                                 separators=(",", ":")).encode("utf-8")
+        assert len(sorted_form) == len(line) - 1 and \
+            sorted_form != line.rstrip(b"\n")
+        for form in (line.rstrip(b"\n"), sorted_form):
+            assert durability.decode_record(form) == record
+            for index in range(len(form)):
+                flipped = bytearray(form)
+                flipped[index] ^= 1
+                assert durability.decode_record(bytes(flipped)) is None, \
+                    (form, index)
+
     def test_garbage_is_not_a_record(self):
         assert durability.decode_record(b"not json at all") is None
         assert durability.decode_record(b'{"no": "crc"}') is None
@@ -244,7 +267,7 @@ class TestRecovery:
             recovered.session.check().to_json()) == live
 
     def test_compaction_traced_peak_is_bounded(self, tmp_path):
-        """The snapshot is built once and dumped once, compactly: on a
+        """The snapshot is streamed element by element: on a
         2,000-element repository compaction stays under 5 MiB of
         Python allocations."""
         import tracemalloc
