@@ -5,6 +5,11 @@ it to a model element attaches a validated
 :class:`StereotypeApplication`.  Applications ride on the element (in a
 side slot, not a metamodel feature) so that profiles extend models without
 touching the metamodel — exactly UML's lightweight extension mechanism.
+
+A tag value of ``None`` means the tag is absent: the application holds
+its default, or no value when it has none, and a required tag refuses
+it.  A Real tag stores a ``float``.  So an application's values are
+what both interchange formats write and read back.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..mof.errors import MofError
 from ..mof.kernel import Element, MetaClass, MetaEnum
-from ..mof.types import PrimitiveType
+from ..mof.types import MReal, PrimitiveType
 
 _SLOT = "_stereotype_applications"
 
@@ -37,6 +42,21 @@ class TagDefinition:
             raise ProfileError(
                 f"tag '{self.name}' expects {self.type.name}, "
                 f"got {value!r}")
+
+    def stored(self, value: Any, stereotype: "Stereotype") -> Any:
+        """The value an application of *stereotype* holds for *value*:
+        the default for ``None``, a ``float`` for a Real tag.  ``None``
+        when there is no value; a required tag raises instead."""
+        if value is None:
+            value = self.default
+            if value is None:
+                if self.required:
+                    raise ProfileError(
+                        f"stereotype '{stereotype.name}' requires tag "
+                        f"'{self.name}'")
+                return None
+        self.check(value)
+        return float(value) if self.type is MReal else value
 
     def __repr__(self) -> str:
         return f"<Tag {self.name}: {self.type.name}>"
@@ -75,15 +95,9 @@ class Stereotype:
                 f"'{element.meta.name}'")
         tagged: Dict[str, Any] = {}
         for tag_name, definition in self.tags.items():
-            if tag_name in values:
-                definition.check(values[tag_name])
-                tagged[tag_name] = values[tag_name]
-            elif definition.default is not None:
-                tagged[tag_name] = definition.default
-            elif definition.required:
-                raise ProfileError(
-                    f"stereotype '{self.name}' requires tag "
-                    f"'{tag_name}'")
+            value = definition.stored(values.get(tag_name), self)
+            if value is not None:
+                tagged[tag_name] = value
         unknown = set(values) - set(self.tags)
         if unknown:
             raise ProfileError(
@@ -128,13 +142,17 @@ class StereotypeApplication:
         return self.values.get(tag_name, default)
 
     def set(self, tag_name: str, value: Any) -> None:
+        """Set a tag; ``None`` gives it its default, or no value."""
         definition = self.stereotype.tags.get(tag_name)
         if definition is None:
             raise ProfileError(
                 f"stereotype '{self.stereotype.name}' has no tag "
                 f"'{tag_name}'")
-        definition.check(value)
-        self.values[tag_name] = value
+        value = definition.stored(value, self.stereotype)
+        if value is None:
+            self.values.pop(tag_name, None)
+        else:
+            self.values[tag_name] = value
 
     def __repr__(self) -> str:
         return (f"<«{self.stereotype.name}» on {self.element!r} "

@@ -1,7 +1,7 @@
 """``repro.xmi`` — model interchange: XMI-style XML and JSON.
 
 * :func:`write_xml` / :func:`read_xml`
-* :func:`write_json` / :func:`read_json`
+* :func:`write_json` / :func:`read_json` (the canonical JSON text)
 * :class:`TypeRegistry` for label → metaclass resolution
 * crash-safe files: :func:`save_model` / :func:`load_model`
   (atomic rename, ``.bak`` retention, digest-verified loads raising
@@ -21,11 +21,11 @@ from .persist import (
     serialize_model,
 )
 from .reader import XmiReader, read_xml
-from .writer import XmiWriter, write_xml
+from .writer import write_xml
 
 __all__ = [
     "CorruptModelError", "PersistenceError", "TypeRegistry", "XmiReader",
-    "XmiWriter", "assign_ids", "atomic_write_text", "backup_path",
-    "load_model", "read_json",
-    "read_xml", "save_model", "serialize_model", "write_json", "write_xml",
+    "assign_ids", "atomic_write_text", "backup_path", "load_model",
+    "read_json", "read_xml", "save_model", "serialize_model", "write_json",
+    "write_xml",
 ]

@@ -43,17 +43,16 @@ import json
 import os
 import re
 import shutil
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Union
 
 from .. import faults as _faults
 from ..mof.errors import MofError
 from ..mof.kernel import Element, MetaPackage
 from ..mof.repository import Model, Repository
-from ..obs import trace as _trace
 from .builder import traced_read
 from .jsonio import JsonReader, canonical_dump, canonical_pieces
 from .reader import read_xml
-from .writer import _observe_io, write_xml
+from .writer import traced_write, write_xml
 
 _XML_DIGEST_RE = re.compile(
     r"\n?<!--repro:sha256:([0-9a-f]{64})-->\s*$")
@@ -171,27 +170,6 @@ def _sealed_json(source: Union[Model, Element]) -> Iterator[str]:
     yield f'{held[:-1]},"{_DIGEST_KEY}":"{digest.hexdigest()}"}}'
 
 
-def _stream_json(source: Union[Model, Element],
-                 sink: Callable[[Iterator[str]], Any]) -> Any:
-    """``sink`` applied to *source*'s sealed JSON chunks, inside one
-    ``xmi.write`` span while tracing is on."""
-    chunks = _sealed_json(source)
-    if not _trace.ON:
-        return sink(chunks)
-    written = 0
-
-    def counted() -> Iterator[str]:
-        nonlocal written
-        for chunk in chunks:
-            written += len(chunk)
-            yield chunk
-
-    with _trace.span("xmi.write", format="json") as sp:
-        result = sink(counted())
-    _observe_io(sp, "xmi.write", "json", source, written)
-    return result
-
-
 def _check_json(text: str, path: str,
                 backup: Optional[str]) -> dict:
     """The parsed document of *text*, its digest verified when present."""
@@ -291,7 +269,7 @@ def serialize_model(source: Union[Model, Element], *,
     the output round-trips through :func:`load_model` either way.
     """
     if format == "json":
-        return _stream_json(source, "".join)
+        return traced_write("json", source, _sealed_json(source), "".join)
     if format in ("xmi", "xml"):
         return _seal_xml(write_xml(source))
     raise ValueError(f"unknown serialization format {format!r}; "
@@ -305,8 +283,9 @@ def save_model(source: Union[Model, Element], path: Union[str, os.PathLike],
     path = os.fspath(path)
     fmt = _detect_format(path, format)
     if fmt == "json":
-        _stream_json(source, lambda chunks: atomic_write_text(
-            path, chunks, keep_backup=keep_backup))
+        traced_write("json", source, _sealed_json(source),
+                     lambda chunks: atomic_write_text(
+                         path, chunks, keep_backup=keep_backup))
     else:
         atomic_write_text(path, [serialize_model(source, format=fmt)],
                           keep_backup=keep_backup)

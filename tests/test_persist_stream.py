@@ -16,8 +16,7 @@ import tracemalloc
 
 import pytest
 
-from reference_writer import (reference_document, reference_sealed_json,
-                              reference_to_dict)
+from reference_writer import reference_sealed_json
 from repro.cli import ALL_PROFILES
 from repro.generate import EditFuzzer, demo_package, generate_model
 from repro.generate.corpus import make_generator
@@ -25,9 +24,7 @@ from repro.mof import Model
 from repro.profiles import SA_SCHEDULABLE
 from repro.uml import UML, ModelFactory
 from repro.xmi import (atomic_write_text, load_model, save_model,
-                       serialize_model, write_json)
-from repro.xmi.ids import assign_ids
-from repro.xmi.jsonio import ElementContent
+                       serialize_model)
 
 PACKAGES = [UML, demo_package()]
 
@@ -130,20 +127,6 @@ def test_non_ascii_and_escaped_strings(tmp_path):
     assert loaded.name == "naïve"
     assert {element.name for element in loaded.roots[0].all_contents()
             if element.meta.name == "Clazz"} == set(NAMES)
-
-
-@pytest.mark.parametrize("package", ["demo", "uml"])
-def test_to_dict_and_write_json_keep_the_document(package):
-    """The other composition of the same content: ``to_dict`` nests the
-    reference's dicts, key order included, and ``write_json`` dumps
-    them."""
-    model = generate_model(package, size=300, seed=3, repair=False).model
-    ids = assign_ids(model.roots)
-    for root in model.roots:
-        assert json.dumps(ElementContent(ids).to_dict(root)) == \
-            json.dumps(reference_to_dict(root, ids))
-    assert_same_text(write_json(model),
-                     json.dumps(reference_document(model), indent=2))
 
 
 def test_streamed_save_holds_a_third_of_the_document_path(tmp_path):

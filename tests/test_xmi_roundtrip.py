@@ -210,3 +210,91 @@ class TestStereotypeSerialization:
                           profiles=[SPT])
         report = analyze_model(loaded.roots[0])
         assert report.schedulable
+
+
+class TestTagValuesMeanTheSameInBothFormats:
+    """A tag given ``None`` is absent, and a Real tag holds a float, so
+    every format saves and reloads the same tag values."""
+
+    @pytest.fixture
+    def pump(self, factory):
+        return factory.clazz("Pump", is_active=True)
+
+    @staticmethod
+    def values_of(element):
+        from repro.profiles import applications_of
+        (application,) = applications_of(element)
+        return application.values
+
+    @staticmethod
+    def model_of(pump):
+        model = Model("urn:tags")
+        model.add_root(pump.container)
+        return model
+
+    def reload(self, pump, tmp_path, suffix):
+        from repro.profiles import SPT
+        from repro.xmi import load_model, save_model
+        save_model(self.model_of(pump), tmp_path / f"tags{suffix}")
+        return find(load_model(tmp_path / f"tags{suffix}", [UML],
+                               profiles=[SPT]), "Pump")
+
+    def test_none_for_a_required_tag_is_refused(self, pump):
+        from repro.profiles import SA_SCHEDULABLE, ProfileError
+        with pytest.raises(ProfileError, match="requires tag 'sa_wcet_ms'"):
+            SA_SCHEDULABLE.apply(pump, sa_period_ms=20.0, sa_wcet_ms=None)
+        application = SA_SCHEDULABLE.apply(pump, sa_period_ms=20.0,
+                                           sa_wcet_ms=1.0)
+        with pytest.raises(ProfileError, match="requires tag"):
+            application.set("sa_wcet_ms", None)
+        assert application["sa_wcet_ms"] == 1.0
+
+    @pytest.mark.parametrize("suffix,old,new", [
+        (".xmi", ' sa_wcet_ms="1.0"', ""),
+        (".json", '"sa_wcet_ms":1.0', '"sa_wcet_ms":null')])
+    def test_a_file_without_a_required_tag_is_refused(
+            self, pump, tmp_path, suffix, old, new):
+        from repro.profiles import SA_SCHEDULABLE, SPT
+        from repro.xmi import CorruptModelError, load_model
+        SA_SCHEDULABLE.apply(pump, sa_period_ms=20.0, sa_wcet_ms=1.0)
+        write = write_xml if suffix == ".xmi" else write_json
+        text = write(self.model_of(pump))
+        assert old in text
+        (tmp_path / f"tags{suffix}").write_text(text.replace(old, new))
+        with pytest.raises(CorruptModelError,
+                           match="requires tag 'sa_wcet_ms'"):
+            load_model(tmp_path / f"tags{suffix}", [UML], profiles=[SPT])
+
+    @pytest.mark.parametrize("suffix", [".xmi", ".json"])
+    def test_a_defaulted_tag_given_none_holds_its_default(
+            self, pump, tmp_path, suffix):
+        from repro.profiles import SA_SCHEDULABLE
+        application = SA_SCHEDULABLE.apply(
+            pump, sa_period_ms=20.0, sa_wcet_ms=1.0, sa_blocking_ms=None,
+            sa_deadline_ms=None)
+        application.set("sa_priority", 3)
+        application.set("sa_priority", None)
+        assert application.values == {"sa_period_ms": 20.0,
+                                      "sa_wcet_ms": 1.0,
+                                      "sa_blocking_ms": 0.0}
+        loaded = self.reload(pump, tmp_path, suffix)
+        assert SA_SCHEDULABLE.value_on(loaded, "sa_blocking_ms") == 0.0
+        assert self.values_of(loaded) == application.values
+
+    @pytest.mark.parametrize("suffix", [".xmi", ".json"])
+    def test_an_int_in_a_real_tag_is_a_float(self, pump, tmp_path, suffix):
+        from repro.profiles import SA_SCHEDULABLE, SPT
+        application = SA_SCHEDULABLE.apply(pump, sa_period_ms=20,
+                                           sa_wcet_ms=1, sa_priority=2)
+        application.set("sa_blocking_ms", 3)
+        assert [type(application[tag]) for tag in (
+            "sa_period_ms", "sa_wcet_ms", "sa_blocking_ms",
+            "sa_priority")] == [float, float, float, int]
+        loaded = self.reload(pump, tmp_path, suffix)
+        assert self.values_of(loaded) == application.values
+        assert type(SA_SCHEDULABLE.value_on(loaded, "sa_period_ms")) is float
+        # the format's fixed point
+        write, read = ((write_xml, read_xml) if suffix == ".xmi"
+                       else (write_json, read_json))
+        text = write(self.model_of(pump))
+        assert write(read(text, [UML], profiles=[SPT])) == text
