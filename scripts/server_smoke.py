@@ -4,19 +4,22 @@ CI drives the real CLI surface end to end, the way a team would:
 
 1. start `python -m repro serve` as a subprocess on an ephemeral port,
    pre-loading a generated corpus;
-2. race 4 concurrent TCP editors on the same epoch, each committing
+2. pipeline BURST `check` frames over one raw connection in one write
+   and require BURST `ok` replies in request order;
+3. race 4 concurrent TCP editors on the same epoch, each committing
    EDITS edit-txns through a RetryPolicy (jittered backoff replaying
    conflicts with a refreshed base_epoch) — assert nothing is lost
    (final epoch == total applied, zero failures);
-3. verify over `rpc`-style requests that check/stats still answer, that
+4. verify over `rpc`-style requests that check/stats still answer, that
    the editors' checks all rode one shared view of the repository, and
    that a connection which never checked still sees that view's
    `engine` block in `stats`;
-4. SIGINT the server and require a clean "shutting down" exit 0.
+5. SIGINT the server and require a clean "shutting down" exit 0.
 
 Exits non-zero (with a reason on stderr) on any violation.
 """
 
+import collections
 import json
 import re
 import signal
@@ -28,11 +31,38 @@ import time
 
 EDITORS = 4
 EDITS = 5
+BURST = 200
 
 
 def fail(reason):
     print(f"server_smoke: FAIL: {reason}", file=sys.stderr)
     sys.exit(1)
+
+
+def pipelined_burst(host, port):
+    """Send BURST checks in one write; every reply must be `ok`, and
+    the replies must come back in request order."""
+    payload = b"".join(
+        (json.dumps({"id": n, "verb": "check", "params": {"repo": "main"}})
+         + "\n").encode() for n in range(1, BURST + 1))
+    with socket.create_connection((host, port), timeout=60) as sock:
+        sock.sendall(payload)
+        reader = sock.makefile("rb")
+        replies = []
+        for _ in range(BURST):
+            line = reader.readline()
+            if not line:
+                fail(f"pipelined burst: connection closed after "
+                     f"{len(replies)} of {BURST} replies")
+            replies.append(json.loads(line))
+    outcomes = collections.Counter(
+        "ok" if reply.get("ok") else reply["error"]["code"]
+        for reply in replies)
+    if outcomes["ok"] != BURST:
+        fail(f"pipelined burst of {BURST} checks: {dict(outcomes)}")
+    if [reply["id"] for reply in replies] != list(range(1, BURST + 1)):
+        fail("pipelined burst: replies out of request order")
+    print(f"server_smoke: {BURST} pipelined checks answered ok, in order")
 
 
 def main():
@@ -76,6 +106,7 @@ def main():
                     eids.append(element.eid)
         if stats["model"]["elements"] != session.model.size():
             fail("stats element count mismatch")
+        pipelined_burst(host, port)
 
         failures = []
         replays = []

@@ -1039,9 +1039,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repo", help="shorthand for the repo param")
     p.add_argument("--retries", type=int, default=0, metavar="N",
                    help="retry the request up to N times with jittered "
-                        "backoff on conflict/overloaded/deadline-"
-                        "exceeded/draining responses and transient "
-                        "network failures (default 0 = no retry)")
+                        "backoff on conflict/deadline-exceeded/draining "
+                        "responses and transient network failures "
+                        "(default 0 = no retry)")
     p.set_defaults(fn=cmd_rpc)
     return parser
 

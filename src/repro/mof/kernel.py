@@ -52,6 +52,7 @@ from .errors import (
 from .notify import ChangeKind, Notification, ObserverMixin
 from .types import (
     M_01,
+    MReal,
     Multiplicity,
     PrimitiveType,
 )
@@ -311,6 +312,16 @@ class Attribute(Feature):
     def check_type(self, value: Any) -> None:
         if not self.type.conforms(value):
             raise TypeConformanceError(self.name, self.type_name(), value)
+
+    def stored(self, value: Any) -> Any:
+        """*value* as this attribute's slot holds it, once
+        :meth:`check_type` accepts it: a Real attribute stores a
+        ``float``, so a saved ``int`` reloads the same from both
+        formats.  Every attribute write goes through here."""
+        self.check_type(value)
+        if self.type is MReal and value is not None:
+            return float(value)
+        return value
 
     def default_value(self) -> Any:
         if self._default is not None:
@@ -736,7 +747,10 @@ class FeatureList:
             return
         if _faults.ACTIVE is not None:
             _faults.probe("kernel.write")
-        self._feature.check_type(value)
+        if self._feature.is_reference:
+            self._feature.check_type(value)
+        else:
+            value = self._feature.stored(value)
         upper = self._feature.multiplicity.upper
         if upper is not None and len(self._items) >= upper:
             raise MultiplicityError(
@@ -937,6 +951,18 @@ def _get_value(obj: "Element", feature: Feature) -> Any:
     return feature.default_value()
 
 
+def _value_count(obj: "Element", feature: Feature) -> int:
+    """How many values a read of *feature* would see, read as
+    :func:`_get_value` reads it (the read hook included) but storing no
+    empty list for a many-valued feature never written."""
+    if not feature.many:
+        return 0 if _get_value(obj, feature) is None else 1
+    if _READ_HOOK is not None:
+        _READ_HOOK(obj, feature.name)
+    slot = obj._slots.get(feature.name)
+    return 0 if slot is None else len(slot)
+
+
 def _set_value(obj: "Element", feature: Feature, value: Any) -> None:
     if _WRITE_HOOK is not None:
         _WRITE_HOOK(obj, feature.name)
@@ -964,7 +990,7 @@ def _set_value(obj: "Element", feature: Feature, value: Any) -> None:
         return
     # single-valued attribute
     _check_mutable(obj)
-    feature.check_type(value)
+    value = feature.stored(value)
     # The *effective* old value is what a reader would have seen, which is
     # the default when the slot was never written — comparing against the
     # raw slot would report ``old=None`` on a first set and emit a spurious
@@ -1002,8 +1028,7 @@ def _load_set(obj: "Element", feature: Attribute, value: Any) -> None:
     seen such an element, so the write makes no notification."""
     if _faults.ACTIVE is not None:
         _faults.probe("kernel.write")
-    feature.check_type(value)
-    obj._slots[feature.name] = value
+    obj._slots[feature.name] = feature.stored(value)
 
 
 def _load_extend(obj: "Element", feature: Attribute,
@@ -1019,7 +1044,7 @@ def _load_extend(obj: "Element", feature: Attribute,
             continue
         if _faults.ACTIVE is not None:
             _faults.probe("kernel.write")
-        feature.check_type(value)
+        value = feature.stored(value)
         if upper is not None and len(items) >= upper:
             raise MultiplicityError(
                 f"feature '{feature.name}' accepts at most {upper} values")

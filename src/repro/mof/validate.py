@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
-from .kernel import Element, Feature, Reference
+from .kernel import Element, Feature, Reference, _value_count
 
 
 class Severity(enum.Enum):
@@ -128,8 +128,7 @@ class ValidationReport:
 
 def _check_multiplicities(element: Element, report: ValidationReport) -> None:
     for feature in element.meta.all_features().values():
-        value = element.eget(feature.name)
-        count = len(value) if feature.many else (0 if value is None else 1)
+        count = _value_count(element, feature)
         if not feature.multiplicity.accepts_count(count):
             report.add(
                 Severity.ERROR, element,

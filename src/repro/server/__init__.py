@@ -30,10 +30,11 @@ Durability and liveness (:mod:`repro.server.durability`,
 :mod:`repro.server.transport`): a server started with ``wal_dir=``
 write-ahead logs every committed ``edit-txn`` (fsync before ack) and
 replays pending logs on start, so a ``kill -9`` never loses an
-acknowledged edit; per-verb deadlines, bounded inflight queues, and
-slowloris eviction bound every request, and :class:`RetryPolicy` gives
-clients jittered, budget-capped replay of ``conflict`` and transient
-failures.
+acknowledged edit; per-verb deadlines, TCP flow control (each
+connection's one thread reads its next frame only after answering the
+last) and slowloris eviction bound every request, and
+:class:`RetryPolicy` gives clients jittered, budget-capped replay of
+``conflict`` and transient failures.
 """
 
 from .dispatch import (

@@ -479,9 +479,10 @@ class ServerConnection:
                     arrival: Optional[float] = None) -> None:
         """Decode one wire line and dispatch it (transport entry point).
 
-        *arrival* is the ``time.monotonic()`` the transport first saw
-        the frame — deadline budgets count queue time, so a request that
-        sat behind a backlog past its budget is shed without running.
+        *arrival* is the ``time.monotonic()`` the transport read the
+        frame — deadline budgets count from there, so the wait for the
+        model lock counts, and a request that waited past its budget is
+        shed without running.
         """
         try:
             frame = decode_frame(line, max_frame=self.server.max_frame)

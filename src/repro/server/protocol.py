@@ -18,12 +18,12 @@ shapes flow over one connection:
 
       {"event": "diagnostics", "repo": "main", "data": {...}}
 
-Requests on one connection are handled strictly in order (the protocol
-has no pipelining guarantee beyond FIFO).  Backpressure is explicit:
-each TCP connection owns a bounded inflight queue, and a client that
-pipelines past it gets an immediate ``overloaded`` error for the
-excess frames; every verb also runs against a per-verb wall-clock
-budget and is shed (or aborted and rolled back) with
+Requests on one connection are handled strictly in order, and their
+responses come back in request order.  A client may pipeline: the
+server reads a connection's next frame only once it has answered the
+one before, so TCP flow control is the backpressure.  Every verb runs
+against a per-verb wall-clock budget, counted from when the server
+read the frame, and is shed (or aborted and rolled back) with
 ``deadline-exceeded`` when it blows it.  A frame longer than the
 server's ``max_frame`` limit is rejected with an ``oversized`` error
 without being parsed.
@@ -57,8 +57,6 @@ ERROR_CODES: Dict[str, str] = {
                   "repository back",
     "deadline-exceeded": "request blew its verb's wall-clock budget; "
                          "partial work was rolled back",
-    "overloaded": "the connection's inflight queue is full; back off "
-                  "and retry",
     "draining": "server is draining for shutdown; no new requests",
     "closed": "connection is closed",
     "internal": "unexpected server-side failure",
@@ -68,7 +66,7 @@ ERROR_CODES: Dict[str, str] = {
 #: is also replayable but needs its ``base_epoch`` refreshed from
 #: ``data.current_epoch`` first — :class:`repro.server.RetryPolicy`
 #: does both.
-TRANSIENT_CODES = ("overloaded", "deadline-exceeded", "draining")
+TRANSIENT_CODES = ("deadline-exceeded", "draining")
 
 
 class ProtocolError(Exception):

@@ -2,11 +2,15 @@
 
 The dispatch layer only needs two things from a transport: a way to
 deliver inbound lines to :meth:`ServerConnection.handle_line`, and a
-``send(frame)`` callable for outbound frames.  Two implementations:
+``send(frame)`` callable for outbound frames.  Both transports share
+one dispatch model: a connection's frames are handled one at a time,
+in arrival order, on the thread that delivers them, and each is
+answered before the next is read.  Two implementations:
 
 * :class:`TcpServer` / :class:`TcpClient` — the real thing: a listener
-  thread accepting connections, one reader + one worker thread per
-  connection, newline-delimited JSON frames over a stream socket;
+  thread accepting connections, one thread per connection that reads a
+  frame and dispatches it, newline-delimited JSON frames over a stream
+  socket;
 * :func:`ModelServer.connect` driven directly by
   :class:`InProcessClient` — the same frame round-trip (encode → decode
   both ways, so only JSON-serializable payloads pass) without a socket,
@@ -15,10 +19,11 @@ deliver inbound lines to :meth:`ServerConnection.handle_line`, and a
 
 Liveness is bounded on every axis:
 
-* **Backpressure** — each connection owns a bounded inflight queue
-  (the reader enqueues, the worker dispatches FIFO); a client that
-  pipelines past ``max_inflight`` gets an immediate ``overloaded``
-  error for the excess frame instead of growing server memory.
+* **Backpressure** — TCP flow control.  While a connection's request
+  runs, nothing more is read from it, so a client that pipelines is
+  held back by its own socket buffers; the server holds at most the
+  reader's buffer per connection, below about one ``max_frame`` plus
+  one 64 KiB ``recv``.
 * **Slowloris eviction** — a connection that holds a *partial* frame
   open past ``partial_frame_timeout`` seconds is dropped.  Idle
   connections (no buffered bytes — e.g. a quiet ``watch`` client) are
@@ -27,8 +32,8 @@ Liveness is bounded on every axis:
   peer that stops reading until the kernel buffer fills gets its
   connection dropped instead of wedging a server thread.
 * **Graceful drain** — :meth:`TcpServer.drain` stops accepting,
-  answers queued-but-unstarted requests with ``draining``, lets the
-  inflight request on each connection finish against its deadline,
+  answers every frame read from then on with ``draining``, lets the
+  request running on each connection finish against its deadline,
   flushes every repository's write-ahead log, then closes.
 
 Oversized-line handling on the TCP read side never buffers more than
@@ -38,9 +43,9 @@ is crossed, then discards until the next newline and keeps serving.
 :class:`RetryPolicy` is the client half of the story: exponential
 backoff with full jitter over a bounded attempt/sleep budget, replaying
 ``conflict`` responses (with ``base_epoch`` refreshed from the error's
-``current_epoch``), transient protocol errors (``overloaded``,
-``deadline-exceeded``, ``draining``), and :class:`TransportError`\\ s —
-reconnecting the socket for the latter.
+``current_epoch``), transient protocol errors (``deadline-exceeded``,
+``draining``), and :class:`TransportError`\\ s — reconnecting the
+socket for the latter.
 
 Fault sites: ``net.read`` and ``net.write`` fire on the server side of
 every socket receive/send; an injected fault kills that connection (the
@@ -50,13 +55,12 @@ server itself keeps serving).
 from __future__ import annotations
 
 import json
-import queue
 import random
 import select
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .. import faults as _faults
 from ..obs import metrics as _metrics
@@ -258,19 +262,6 @@ class InProcessClient:
 # TCP transport
 # ---------------------------------------------------------------------------
 
-#: sentinel telling a connection worker to exit
-_STOP = object()
-
-
-class _ClientConn:
-    """Book-keeping for one live TCP connection (server side)."""
-
-    def __init__(self, sock: socket.socket, inbox: "queue.Queue"):
-        self.sock = sock
-        self.inbox = inbox
-        self.busy = False         # worker is inside a handler right now
-
-
 def _peek_request_id(line: bytes) -> Any:
     """Best-effort request id from an undispatched frame, for shedding."""
     try:
@@ -285,18 +276,17 @@ class TcpServer:
 
     ``port=0`` binds an ephemeral port (tests); :attr:`address` reports
     the bound endpoint.  One daemon thread accepts; each connection gets
-    a reader thread (framing, backpressure, eviction) and a worker
-    thread (dispatch), decoupled by a bounded inflight queue.  Writes
-    go through the dispatch layer's per-connection send lock so watch
-    events and responses interleave safely.
+    one thread that reads a frame, dispatches it and answers it before
+    it reads the next, so TCP flow control holds back a client that
+    pipelines.  Every outbound frame leaves through
+    :meth:`ServerConnection.send`, whose lock interleaves watch events
+    and responses.
     """
 
     def __init__(self, server: ModelServer, host: str = "127.0.0.1",
-                 port: int = 0, *, max_inflight: int = 64,
-                 partial_frame_timeout: float = 30.0,
+                 port: int = 0, *, partial_frame_timeout: float = 30.0,
                  send_timeout: float = 30.0):
         self.server = server
-        self.max_inflight = max_inflight
         self.partial_frame_timeout = partial_frame_timeout
         self.send_timeout = send_timeout
         self._listener = socket.create_server((host, port))
@@ -304,11 +294,15 @@ class TcpServer:
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self._threads: List[threading.Thread] = []
         self._running = False
-        self._draining = False
         self._accept_thread: Optional[threading.Thread] = None
-        self._clients: Dict[int, _ClientConn] = {}
-        self._clients_lock = threading.Lock()
-        self._client_counter = 0
+        # guarded by _lock: the open connection sockets, the drain flag,
+        # how many connections are inside a handler, and how many frames
+        # were answered ``draining``
+        self._lock = threading.Lock()
+        self._socks: Set[socket.socket] = set()
+        self._draining = False
+        self._busy = 0
+        self._cancelled = 0
 
     def start(self) -> "TcpServer":
         self._running = True
@@ -335,11 +329,12 @@ class TcpServer:
                 target=self._serve_connection, args=(sock,),
                 name="repro-server-conn", daemon=True)
             thread.start()
+            self._threads = [t for t in self._threads if t.is_alive()]
             self._threads.append(thread)
 
     def _serve_connection(self, sock: socket.socket) -> None:
         sock.settimeout(self.send_timeout)   # bounds sendall on a slow
-        sock_lock = threading.Lock()         # reader; recv is select-paced
+                                             # reader; recv is select-paced
 
         def send(frame: Dict[str, Any]) -> None:
             if _faults.ACTIVE is not None:
@@ -347,101 +342,47 @@ class TcpServer:
                     _faults.probe("net.write")
                 except _faults.InjectedFault as exc:
                     raise OSError(f"injected fault: {exc}") from exc
-            with sock_lock:
-                sock.sendall(encode_frame(frame))
+            sock.sendall(encode_frame(frame))
 
         conn = self.server.connect(send)
-        inbox: "queue.Queue" = queue.Queue(maxsize=self.max_inflight)
-        client = _ClientConn(sock, inbox)
-        with self._clients_lock:
-            self._client_counter += 1
-            key = self._client_counter
-            self._clients[key] = client
-        worker = threading.Thread(
-            target=self._dispatch_loop, args=(conn, client),
-            name="repro-server-work", daemon=True)
-        worker.start()
-        self._threads.append(worker)
-
-        def shed(line: bytes, code: str, message: str) -> None:
-            try:
-                send(error_frame(_peek_request_id(line), code, message))
-            except OSError:
-                pass
-
+        with self._lock:
+            self._socks.add(sock)
         try:
             for line, oversized in _read_lines(
                     sock, self.server.max_frame,
                     partial_timeout=self.partial_frame_timeout):
                 if oversized:
-                    try:
-                        send(error_frame(
-                            None, "oversized",
-                            f"frame exceeds the "
-                            f"{self.server.max_frame}-byte limit"))
-                    except OSError:
-                        break
+                    conn.send(error_frame(
+                        None, "oversized",
+                        f"frame exceeds the "
+                        f"{self.server.max_frame}-byte limit"))
                     continue
-                if self._draining:
-                    shed(line, "draining",
-                         "server is draining for shutdown")
+                with self._lock:
+                    draining = self._draining
+                    if draining:
+                        self._cancelled += 1
+                    else:
+                        self._busy += 1
+                if draining:
+                    conn.send(error_frame(
+                        _peek_request_id(line), "draining",
+                        "server is draining for shutdown"))
                     continue
                 try:
-                    inbox.put_nowait((line, time.monotonic()))
-                except queue.Full:
-                    _metrics.REGISTRY.counter(
-                        "server.overloaded",
-                        help="frames shed on a full inflight queue").inc()
-                    shed(line, "overloaded",
-                         f"connection already has {self.max_inflight} "
-                         f"requests inflight")
+                    conn.handle_line(line, arrival=time.monotonic())
+                finally:
+                    with self._lock:
+                        self._busy -= 1
                 if conn.closed:
                     break
+        except OSError:
+            pass                      # the peer went away mid-response
         finally:
-            inbox.put(_STOP)
             conn.cleanup()
-            with self._clients_lock:
-                self._clients.pop(key, None)
+            with self._lock:
+                self._socks.discard(sock)
             try:
                 sock.close()
-            except OSError:
-                pass
-
-    def _dispatch_loop(self, conn: Any, client: _ClientConn) -> None:
-        """Worker half of one connection: FIFO dispatch off the inbox."""
-        try:
-            while True:
-                item = client.inbox.get()
-                if item is _STOP:
-                    break
-                line, arrival = item
-                if self._draining:
-                    try:
-                        conn.send(error_frame(
-                            _peek_request_id(line), "draining",
-                            "server is draining for shutdown"))
-                    except OSError:
-                        break
-                    continue
-                client.busy = True
-                try:
-                    conn.handle_line(line, arrival=arrival)
-                except OSError:
-                    break             # peer went away mid-response
-                finally:
-                    client.busy = False
-                if conn.closed:
-                    break
-        finally:
-            # whatever ended this worker, the connection is done — close
-            # the socket so the reader unblocks instead of queueing
-            # frames nobody will ever answer
-            try:
-                client.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                client.sock.close()
             except OSError:
                 pass
 
@@ -460,58 +401,46 @@ class TcpServer:
     def drain(self, timeout: float = 5.0) -> Dict[str, Any]:
         """Gracefully wind the server down.
 
-        Stops accepting, rejects queued-but-unstarted and newly arriving
-        requests with ``draining``, waits up to *timeout* seconds for
-        the request currently executing on each connection to finish
-        (its own deadline still applies), flushes every write-ahead
-        log, then closes everything.  Returns drain statistics.
+        Stops accepting and answers every frame read from then on with
+        ``draining`` (counted as ``cancelled``), waits up to *timeout*
+        seconds for the requests executing on the connections to finish
+        (each against its own deadline; those still running are
+        ``interrupted``), flushes every write-ahead log, then closes
+        everything.  Returns drain statistics.
         """
         with _trace.span("server.drain"):
-            self._draining = True
+            with self._lock:
+                self._draining = True
             self._close_listener()
             deadline = time.monotonic() + timeout
-            cancelled = 0
-            while time.monotonic() < deadline:
-                with self._clients_lock:
-                    clients = list(self._clients.values())
-                if not any(c.busy for c in clients):
-                    break
+            while self._busy and time.monotonic() < deadline:
                 time.sleep(0.02)
-            with self._clients_lock:
-                clients = list(self._clients.values())
-            still_busy = sum(1 for c in clients if c.busy)
-            for c in clients:
-                while True:               # count what never got to run
-                    try:
-                        item = c.inbox.get_nowait()
-                    except queue.Empty:
-                        break
-                    if item is not _STOP:
-                        cancelled += 1
+            interrupted = self._busy
             self.server.flush_wals()
             self.shutdown()
+            cancelled = self._cancelled
             _metrics.REGISTRY.counter(
                 "server.drain.cancelled",
                 help="requests abandoned during drain "
-                     "(queued or still executing at timeout)"
-            ).inc(cancelled + still_busy)
+                     "(answered draining or still executing at timeout)"
+            ).inc(cancelled + interrupted)
             return {"drained": True, "cancelled": cancelled,
-                    "interrupted": still_busy}
+                    "interrupted": interrupted}
 
     def shutdown(self) -> None:
-        """Stop accepting, close the listener and every live client
+        """Stop accepting, close the listener and every live connection
         socket (a hung client cannot stall the join), drop every
         connection."""
         self._close_listener()
-        with self._clients_lock:
-            clients = list(self._clients.values())
-        for client in clients:
+        with self._lock:
+            socks = list(self._socks)
+        for sock in socks:
             try:
-                client.sock.shutdown(socket.SHUT_RDWR)
+                sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
             try:
-                client.sock.close()
+                sock.close()
             except OSError:
                 pass
         self.server.shutdown()

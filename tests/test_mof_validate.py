@@ -3,6 +3,7 @@
 import pytest
 
 from repro.mof import (
+    M_0N,
     M_11,
     M_1N,
     MString,
@@ -13,6 +14,11 @@ from repro.mof import (
     validate_invariants,
     validate_tree,
 )
+from repro.generate import demo_package, generate_model
+from repro.mof.index import walk
+from repro.mof.kernel import FeatureList, set_read_hook
+from repro.session import Session
+from repro.xmi import load_model, save_model
 from kernel_fixture import TBook, TLibrary
 
 
@@ -52,6 +58,37 @@ class TestMultiplicityValidation:
         report = validate_tree(model.roots[0])
         report.extend(validate_invariants(model.roots[0]))
         assert report.ok
+
+    def test_counting_reports_each_read_to_the_hook(self):
+        item = (PackageBuilder("tagged").clazz("Item")
+                .attr("tags", MString, multiplicity=M_0N).build()
+                .classifier("Item")())
+        seen = []
+        previous = set_read_hook(
+            lambda element, name: seen.append((element, name)))
+        try:
+            validate_element(item, check_invariants=False)
+        finally:
+            set_read_hook(previous)
+        assert (item, "tags") in seen
+
+    @pytest.mark.parametrize("run", [
+        lambda model: Session(model).watch(),
+        lambda model: Session(model).check(),
+    ], ids=["watch", "check"])
+    def test_counting_stores_no_empty_list(self, run, tmp_path):
+        save_model(generate_model("demo", size=2_000, seed=0,
+                                  repair=False).model, tmp_path / "m.xmi")
+        model = load_model(tmp_path / "m.xmi", [demo_package()])
+
+        def empty_lists():
+            return sum(1 for root in model.roots for element in walk(root)
+                       for value in element._slots.values()
+                       if isinstance(value, FeatureList) and not len(value))
+
+        before = empty_lists()
+        run(model)
+        assert empty_lists() == before
 
 
 class TestOppositeIntegrity:

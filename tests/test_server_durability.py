@@ -16,8 +16,10 @@ import os
 import random
 import shutil
 import socket
+import sys
 import threading
 import time
+import types
 
 import pytest
 
@@ -525,15 +527,24 @@ class TestDeadlines:
 
 @pytest.fixture
 def slow_check(monkeypatch):
-    """Make every check verb sleep, so inflight queues actually fill."""
+    """Make every check verb sleep ``slow_check.delay`` seconds (0.25
+    unless a test sets it), so frames arrive while a handler runs."""
     original = Session.check
+    knob = types.SimpleNamespace(delay=0.25)
 
     def slow(self, *args, **kwargs):
-        time.sleep(0.25)
+        time.sleep(knob.delay)
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(Session, "check", slow)
-    return slow
+    return knob
+
+
+def _wait_for(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 def _raw_frames(sock, count, verb="check", repo="main"):
@@ -546,22 +557,31 @@ def _raw_frames(sock, count, verb="check", repo="main"):
 
 
 class TestTcpResilience:
-    def test_overloaded_shedding(self, slow_check):
+    def test_pipelined_frames_are_answered_in_order(self, slow_check):
+        slow_check.delay = 0.01
         server = ModelServer()
         host_corpus(server, size=30)
-        tcp = TcpServer(server, max_inflight=1).start()
+        tcp = TcpServer(server).start()
         try:
-            sock = socket.create_connection(tcp.address, timeout=10)
-            _raw_frames(sock, 8)
-            reader = sock.makefile("rb")
-            codes = []
-            for _ in range(8):
-                frame = json.loads(reader.readline())
-                codes.append("ok" if frame.get("ok")
-                             else frame["error"]["code"])
-            assert "overloaded" in codes
-            assert codes.count("ok") >= 1
-            sock.close()
+            with socket.create_connection(tcp.address, timeout=30) as sock:
+                _raw_frames(sock, 100)          # one write, 100 checks
+                reader = sock.makefile("rb")
+                frames = [json.loads(reader.readline())
+                          for _ in range(100)]
+            assert [frame.get("ok") for frame in frames] == [True] * 100
+            assert [frame["id"] for frame in frames] == \
+                list(range(1, 101))
+        finally:
+            tcp.shutdown()
+
+    def test_finished_connection_threads_are_dropped(self):
+        server = ModelServer()
+        tcp = TcpServer(server).start()
+        try:
+            for _ in range(50):
+                with TcpClient(*tcp.address) as client:
+                    assert client.request("ping")["pong"] is True
+            assert len(tcp._threads) <= 5
         finally:
             tcp.shutdown()
 
@@ -611,6 +631,92 @@ class TestTcpResilience:
         assert st.model.index().resolve_eid(eid).eget("name") \
             == "BeforeDrain"
 
+    def test_drain_answers_each_later_frame_draining(self, slow_check):
+        server = ModelServer()
+        host_corpus(server, size=30)
+        tcp = TcpServer(server).start()
+        busy = socket.create_connection(tcp.address, timeout=10)
+        late = socket.create_connection(tcp.address, timeout=10)
+        try:
+            _raw_frames(busy, 1)                # a 0.25 s check
+            _wait_for(lambda: tcp._busy == 1)
+            stats = {}
+            drainer = threading.Thread(
+                target=lambda: stats.update(tcp.drain(timeout=5.0)))
+            drainer.start()
+            _wait_for(lambda: tcp._draining)
+            _raw_frames(late, 5)
+            reader = late.makefile("rb")
+            frames = [json.loads(reader.readline()) for _ in range(5)]
+            assert [f["error"]["code"] for f in frames] == ["draining"] * 5
+            assert [f["id"] for f in frames] == [1, 2, 3, 4, 5]
+            assert reader.readline() == b""     # closed once drained
+            assert json.loads(busy.makefile("rb").readline())["ok"] is True
+            drainer.join(timeout=10)
+            assert not drainer.is_alive()
+            assert stats == {"drained": True, "cancelled": 5,
+                             "interrupted": 0}
+        finally:
+            busy.close()
+            late.close()
+            tcp.shutdown()
+
+    def test_drain_counts_a_request_past_its_timeout(self, slow_check):
+        slow_check.delay = 0.5
+        server = ModelServer()
+        host_corpus(server, size=30)
+        tcp = TcpServer(server).start()
+        busy = socket.create_connection(tcp.address, timeout=10)
+        try:
+            _raw_frames(busy, 1)
+            _wait_for(lambda: tcp._busy == 1)
+            stats = tcp.drain(timeout=0.05)
+            assert stats == {"drained": True, "cancelled": 0,
+                             "interrupted": 1}
+        finally:
+            busy.close()
+            tcp.shutdown()
+
+    def test_concurrent_requests_leave_drain_nothing_to_wait_for(self):
+        server = ModelServer()
+        tcp = TcpServer(server).start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def pings():
+                with TcpClient(*tcp.address) as client:
+                    for _ in range(30):
+                        client.request("ping")
+
+            clients = [threading.Thread(target=pings) for _ in range(8)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in clients)
+            # a lost update of the busy count would hold drain to its
+            # timeout and report the connection interrupted
+            assert tcp.drain(timeout=2.0) == {
+                "drained": True, "cancelled": 0, "interrupted": 0}
+        finally:
+            sys.setswitchinterval(interval)
+            tcp.shutdown()
+
+    def test_a_failed_response_write_leaves_no_request_running(self):
+        server = ModelServer()
+        tcp = TcpServer(server).start()
+        try:
+            plan = faults.FaultPlan(at={"net.write": [1]})
+            with faults.injected(plan):
+                with socket.create_connection(tcp.address,
+                                              timeout=10) as sock:
+                    _raw_frames(sock, 1, verb="ping")
+                    assert sock.recv(1024) == b""     # dropped, unanswered
+            assert plan.fault_count == 1
+            assert tcp.drain(timeout=1.0)["interrupted"] == 0
+        finally:
+            tcp.shutdown()
+
     def test_shutdown_with_hung_client_is_fast(self):
         server = ModelServer()
         tcp = TcpServer(server).start()
@@ -646,7 +752,7 @@ class TestRetryPolicy:
         def flaky():
             calls["n"] += 1
             if calls["n"] < 3:
-                raise RemoteError("overloaded", "busy", {})
+                raise RemoteError("draining", "busy", {})
             return "done"
 
         assert policy.run(flaky) == "done"

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.mof import Model, Repository, RepositoryError, validate_tree
+from repro.mof import (M_0N, MReal, Model, PackageBuilder, Repository,
+                       RepositoryError, TypeConformanceError, validate_tree)
 from repro.uml import UML, Interaction, ModelFactory, StateMachine, UseCase
 from repro.xmi import read_json, read_xml, write_json, write_xml
 from kernel_fixture import TEST_PKG, TBook, TLibrary
@@ -210,6 +211,49 @@ class TestStereotypeSerialization:
                           profiles=[SPT])
         report = analyze_model(loaded.roots[0])
         assert report.schedulable
+
+
+class TestRealAttributesHoldFloats:
+    """A Real attribute stores a float for an int, so both formats
+    reload what was written, and one round trip is a fixed point."""
+
+    @pytest.fixture
+    def gauges(self):
+        return (PackageBuilder("gauges", uri="urn:gauges")
+                .clazz("Gauge").attr("level", MReal)
+                .attr("readings", MReal, multiplicity=M_0N)
+                .build())
+
+    @pytest.mark.parametrize("write,read", [(write_xml, read_xml),
+                                            (write_json, read_json)],
+                             ids=["xmi", "json"])
+    def test_a_round_trip_is_a_fixed_point(self, gauges, write, read):
+        gauge = gauges.classifier("Gauge")(level=20)
+        gauge.readings.extend([1, 2.5])
+        model = Model("urn:gauges:m")
+        model.add_root(gauge)
+        text = write(model)
+        loaded = read(text, [gauges])
+        (again,) = loaded.roots
+        assert again.level == 20.0
+        assert [type(v) for v in [again.level, *again.readings]] == \
+            [float, float, float]
+        assert write(loaded) == text
+
+    def test_an_int_in_a_json_file_loads_as_a_float(self, gauges):
+        (gauge,) = read_json(
+            '{"name":"g","roots":[{"attrs":{"level":20,"readings":[1]},'
+            '"id":"e1","type":"gauges:Gauge"}],"uri":"urn:g",'
+            '"version":"1.0"}', [gauges]).roots
+        assert [type(v) for v in [gauge.level, *gauge.readings]] == \
+            [float, float]
+
+    def test_a_bool_is_refused(self, gauges):
+        with pytest.raises(TypeConformanceError):
+            gauges.classifier("Gauge")(level=True)
+        gauge = gauges.classifier("Gauge")()
+        with pytest.raises(TypeConformanceError):
+            gauge.readings.append(False)
 
 
 class TestTagValuesMeanTheSameInBothFormats:
