@@ -13,21 +13,30 @@ correctness spot check that both paths report identical diagnostics.
 
 Also printed, without a gate: the traced memory (tracemalloc) of the
 model and of the warm engine at each size, and the engine's and its
-dependency index's bytes per recorded (unit, read key) edge; and the
+dependency index's bytes per recorded (unit, read key) edge; the
 median revalidate time and units rerun after adding, and after
 deleting, one ``Property``: a structural edit, which reruns every unit
-whose instance query the property joins or leaves.
+whose instance query the property joins or leaves; and a default
+view's build next to a serial ``Session.check`` of the same freshly
+loaded demo corpus, at 10^4 and 4*10^4 elements, with the cyclic
+collector's passes during the build.
 
 Set ``REPRO_BENCH_QUICK=1`` (CI smoke) to run a reduced size/edit count.
 """
 
+import gc
+import os
 import random
 import statistics
+import tempfile
 import time
 import tracemalloc
 
+from repro.cli import load_model
+from repro.generate import generate_model
 from repro.incremental import IncrementalEngine, report_signature, tracking
 from repro.session import Session
+from repro.xmi import serialize_model
 from repro.uml.classifiers import Clazz
 from repro.uml.features import Property
 from workloads import QUICK, VIEW_FAMILIES, make_sized_pim
@@ -36,6 +45,9 @@ SIZES = [50] if QUICK else [100, 1000]      # n_classes; ~10 elements each
 N_EDITS = 8 if QUICK else 24
 N_BASELINE = 2 if QUICK else 3
 REQUIRED_SPEEDUP = 2.0 if QUICK else 10.0   # enforced at the largest size
+#: demo corpus sizes (elements) and rounds of the build/serial table
+BUILD_SIZES = [2_000] if QUICK else [10_000, 40_000]
+BUILD_ROUNDS = 3 if QUICK else 6
 
 
 def _editable_elements(root, rng, count):
@@ -200,3 +212,73 @@ def test_e14_engine_memory():
               f"{edges:>8} {(warm - built) / edges:>14.0f} "
               f"{index / edges:>13.0f}")
         engine.detach()
+
+
+def _quartiles(values):
+    """Median [Q1, Q3] of *values*, as text."""
+    q1, median, q3 = statistics.quantiles(sorted(values), n=4,
+                                          method="inclusive")
+    return f"{median:.3f} [{q1:.3f}, {q3:.3f}]"
+
+
+def _collector_passes(action):
+    """Run *action*; return its seconds and the cyclic collector's
+    passes per generation meanwhile (observed, never steered)."""
+    passes = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "stop":
+            passes[info["generation"]] += 1
+
+    gc.callbacks.append(count)
+    try:
+        started = time.perf_counter()
+        result = action()
+        seconds = time.perf_counter() - started
+    finally:
+        gc.callbacks.remove(count)
+    return seconds, passes, result
+
+
+def test_e14_build_next_to_a_serial_pass():
+    """A default view's build (``Session(m).watch()``) against a serial
+    ``Session(m).check()``, each on a fresh load of the same unrepaired
+    demo corpus, alternated, which goes first swapping each round.
+    Printed only: timings on this 2-core host are too noisy to gate."""
+    print("\nE14: view build vs serial check (fresh loads, seconds)")
+    print(f"{'elements':>9} {'serial check':>22} {'view build':>22} "
+          f"{'ratio':>6}  build collector passes (gen 0/1/2)")
+    with tempfile.TemporaryDirectory() as directory:
+        for size in BUILD_SIZES:
+            path = os.path.join(directory, f"demo-{size}.xmi")
+            result = generate_model("demo", size=size, seed=0, repair=False)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(serialize_model(result.model))
+            del result
+            times = {"check": [], "build": []}
+            passes = []
+            for index in range(BUILD_ROUNDS):
+                sides = ["check", "build"]
+                if index % 2:
+                    sides.reverse()
+                for side in sides:
+                    model = load_model(path)
+                    gc.collect()
+                    session = Session(model)
+                    if side == "check":
+                        seconds, _, _ = _collector_passes(session.check)
+                    else:
+                        seconds, counted, view = _collector_passes(
+                            session.watch)
+                        passes.append(counted)
+                        view.detach()
+                    times[side].append(seconds)
+                    del model, session
+            ratio = (statistics.median(times["build"])
+                     / statistics.median(times["check"]))
+            median_passes = "/".join(
+                f"{statistics.median(p[g] for p in passes):g}"
+                for g in range(3))
+            print(f"{size:>9} {_quartiles(times['check']):>22} "
+                  f"{_quartiles(times['build']):>22} {ratio:>5.2f}x  "
+                  f"{median_passes}")

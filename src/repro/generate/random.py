@@ -401,10 +401,11 @@ class EditFuzzer:
     """Applies random, always-legal edits to a generated model.
 
     Edits touch only elements currently inside the tree rooted at
-    ``root`` (the membership any scoped checker agrees on).  Every op
-    returns a human-readable description (for failure replay) or None
-    when it could not find an applicable target; :meth:`random_edit`
-    retries across ops until one applies.
+    ``root`` (the membership any scoped checker agrees on), except in
+    the ``detached`` profile, whose ops also reach elements the fuzzer
+    took out of the tree.  Every op returns a human-readable description
+    (for failure replay) or None when it could not find an applicable
+    target; :meth:`random_edit` retries across ops until one applies.
     """
 
     #: op weights: mutation-heavy, with enough structure churn to stress
@@ -425,6 +426,15 @@ class EditFuzzer:
         "shuffle": (("set_attr", 1), ("unset_attr", 1), ("add_ref", 2),
                     ("remove_ref", 2), ("move", 6), ("reparent", 5),
                     ("create", 1), ("delete", 1)),
+        # elements out of the tree but still referenced: "detach" takes
+        # one out of its containment list, without deleting it, while a
+        # one-way reference from the tree points at it; "write_detached"
+        # writes its attributes and references; "reattach" puts it back
+        # under a legal container.  These are the writes a scoped
+        # checker sees only through the references that reach them.
+        "detached": (("set_attr", 2), ("add_ref", 3), ("remove_ref", 1),
+                     ("create", 1), ("detach", 3), ("write_detached", 5),
+                     ("reattach", 2)),
     }
 
     def __init__(self, root: Element, *, seed: int = 0,
@@ -439,6 +449,9 @@ class EditFuzzer:
         self.profile = profile
         self._ops = [name for name, weight in self.PROFILES[profile]
                      for _ in range(weight)]
+        #: elements the "detach" op took out of the tree and no
+        #: "reattach" has put back
+        self.detached: List[Element] = []
 
     def elements(self) -> List[Element]:
         return [self.root] + list(self.root.all_contents())
@@ -469,7 +482,9 @@ class EditFuzzer:
                 if isinstance(f, Attribute) and not f.derived]
 
     def _op_set_attr(self) -> Optional[str]:
-        element = self._pick(self.elements())
+        return self._set_attr(self._pick(self.elements()))
+
+    def _set_attr(self, element: Element) -> Optional[str]:
         attributes = self._attributes(element)
         if not attributes or self.generator is None:
             return None
@@ -515,12 +530,16 @@ class EditFuzzer:
 
     def _op_add_ref(self) -> Optional[str]:
         everything = self.elements()
-        element = self._pick(everything)
+        return self._add_ref(self._pick(everything), everything)
+
+    def _add_ref(self, element: Element,
+                 targets: List[Element]) -> Optional[str]:
+        """Link *element* to one of *targets* by a cross-reference."""
         references = self._cross_references(element)
         if not references:
             return None
         feature = self._pick(references)
-        candidates = [c for c in everything
+        candidates = [c for c in targets
                       if c.meta.conforms_to(feature.target)]
         if not candidates:
             return None
@@ -540,7 +559,9 @@ class EditFuzzer:
                 f"{target.meta.name}")
 
     def _op_remove_ref(self) -> Optional[str]:
-        element = self._pick(self.elements())
+        return self._remove_ref(self._pick(self.elements()))
+
+    def _remove_ref(self, element: Element) -> Optional[str]:
         settable = []
         for feature in self._cross_references(element):
             value = element.eget(feature.name)
@@ -629,6 +650,71 @@ class EditFuzzer:
         name = element.meta.name
         element.delete()
         return f"delete {name}"
+
+    def _op_detach(self) -> Optional[str]:
+        everything = self.elements()
+        inside = {id(element) for element in everything}
+        referenced: Dict[int, Element] = {}
+        for element in everything:
+            for feature in self._cross_references(element):
+                if feature.opposite is not None:
+                    continue
+                value = element.eget(feature.name)
+                for target in (value if feature.many else [value]):
+                    if target is not None and id(target) in inside \
+                            and target.container is not None:
+                        referenced[id(target)] = target
+        if not referenced:
+            return None
+        element = self._pick(referenced.values())
+        container, feature = element.container, element.containing_feature
+        try:
+            if feature.many:
+                container.eget(feature.name).remove(element)
+            else:
+                container.eset(feature.name, None)
+        except _MUTATION_ERRORS:
+            return None
+        self.detached.append(element)
+        return (f"detach {element.meta.name} from "
+                f"{container.meta.name}.{feature.name}")
+
+    def _op_write_detached(self) -> Optional[str]:
+        if not self.detached:
+            return None
+        element = self._pick(self.detached)
+        kind = self.rng.randrange(3)
+        if kind == 0:
+            described = self._set_attr(element)
+        elif kind == 1:
+            described = self._add_ref(element, self.elements())
+        else:
+            described = self._remove_ref(element)
+        return None if described is None else f"{described} (detached)"
+
+    def _op_reattach(self) -> Optional[str]:
+        if not self.detached or self.generator is None:
+            return None
+        element = self._pick(self.detached)
+        everything = self.elements()
+        for parent in self.rng.sample(everything, min(10, len(everything))):
+            for feature, _targets in \
+                    self.generator.containments.get(parent.meta, []):
+                if not element.meta.conforms_to(feature.target) or (
+                        not feature.many
+                        and parent.eget(feature.name) is not None):
+                    continue
+                try:
+                    if feature.many:
+                        parent.eget(feature.name).append(element)
+                    else:
+                        parent.eset(feature.name, element)
+                except _MUTATION_ERRORS:
+                    continue
+                self.detached.remove(element)
+                return (f"reattach {element.meta.name} under "
+                        f"{parent.meta.name}.{feature.name}")
+        return None
 
 
 # ---------------------------------------------------------------------------

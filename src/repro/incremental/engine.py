@@ -32,13 +32,14 @@ follows the edit, not the model.  Root units are reconciled from a diff
 of ``model.roots``.
 
 Reports are assembled the same way: only units with diagnostics keep a
-result entry, and each unit carries its insertion sequence, so a report
-sorts those few entries into unit order, once per change of the result
-set, instead of scanning every unit.  Each diagnostic's wire record is
-rendered inside its unit's tracked run, so a served check document is
-spliced from records that go stale only with their units.
+result entry, and each unit's key maps to its insertion sequence, so a
+report sorts those few entries into unit order, once per change of the
+result set, instead of scanning every unit.  Each diagnostic's wire
+record is rendered inside its unit's tracked run, so a served check
+document is spliced from records that go stale only with their units.
 :meth:`IncrementalEngine.verify` recomputes membership, reports and
-records from scratch and lists any difference.
+records from scratch and lists any difference; with ``rerun=True`` it
+also reruns every unit.
 
 The unit decomposition mirrors the batch checkers exactly —
 ``validate_tree`` (structure + registered invariants),
@@ -56,7 +57,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Any, Dict, Iterable, List, NamedTuple, Optional, Set,
+                    Tuple)
 
 from .. import faults as _faults
 from ..analysis.registry import FAMILIES as RULE_FAMILIES
@@ -79,7 +81,7 @@ from ..session import CheckResult, Session, encode_record
 from ..uml.package import Package
 from ..uml.wellformed import ALL_RULES as WELLFORMED_RULES
 from .tracking import (CONTAINER_KEY, EXTENT_KEY, DependencyGraph, ReadKey,
-                       collect_reads, untracked)
+                       ReadCollector, untracked)
 
 
 # ---------------------------------------------------------------------------
@@ -87,24 +89,47 @@ from .tracking import (CONTAINER_KEY, EXTENT_KEY, DependencyGraph, ReadKey,
 # ---------------------------------------------------------------------------
 
 class _Unit:
-    """One independently re-runnable check with memoised diagnostics.
+    """The runnable form of one check unit.
 
-    ``seq`` is the engine's insertion sequence number for the unit; it
-    orders reports without a scan over every unit."""
+    A unit is its key: a tag naming the check, then what it checks
+    (``("inv", invariant, element)``).  The engine keeps the unit's
+    insertion sequence number under that key, and makes this runnable
+    form afresh for each run (``IncrementalEngine._unit``), so a view
+    holds no object per unit, nearly all of its units being structural
+    and invariant ones.  A lint unit's key names its rule only by name,
+    so the engine keeps those few units' objects."""
 
-    __slots__ = ("seq",)
+    __slots__ = ()
     kind = "?"
 
     def run(self) -> List[Diagnostic]:
         raise NotImplementedError
+
+    def run_into(self, collector: ReadCollector) -> List[Diagnostic]:
+        """Run the check with its reads going to *collector*, and render
+        each diagnostic's wire record there too: the names a record
+        shows join the unit's reads, so a write that changes the record
+        reruns the unit."""
+        with collector:
+            diagnostics = self.run()
+            for diagnostic in diagnostics:
+                diagnostic._record = encode_record(diagnostic)
+        return diagnostics
+
+
+#: the checks of a structural unit, in the full pass's order
+_STRUCTURAL_CHECKS = (_check_multiplicities, audit_links)
 
 
 class StructuralUnit(_Unit):
     """``validate_element`` (multiplicities, opposites, containment) for
     one element; invariants are carried by :class:`InvariantUnit`.
 
-    Both checks run untracked, so a unit that reports nothing records no
-    read.  Its dependency is implicit instead: the multiplicity check
+    Both checks run with the engine's collector off (no read hook of
+    its own, no tracking depth: they read the element's own slots and
+    links directly and take no bulk fast path), so a unit that reports
+    nothing costs what the full pass pays for it and records no read.
+    Its dependency is implicit instead: the multiplicity check
     reads only the element's own slots, and no kernel edit can break one
     of the element's links or children (the audits,
     :func:`~repro.mof.validate.audit_links`) without writing one of
@@ -114,26 +139,35 @@ class StructuralUnit(_Unit):
     but the sync that sees the element back dirties the unit the same
     way.  Raw damage done after the unit ran notifies no one and is the
     full pass's to find.  A check that reports something runs again
-    tracked, so the reads behind its diagnostics (the names their
-    ``path`` renders among them) are recorded and a later repair or
+    inside the collector, so the reads behind its diagnostics (the names
+    their ``path`` renders among them) are recorded and a later repair or
     rename reruns the unit."""
 
     __slots__ = ("element",)
     kind = "structural"
 
-    def __init__(self, element: Element):
-        self.element = element
+    def __init__(self, key: tuple):
+        _tag, self.element = key
 
     def run(self) -> List[Diagnostic]:
+        report = ValidationReport()
+        for check in _STRUCTURAL_CHECKS:
+            check(self.element, report)
+        return report.diagnostics
+
+    def run_into(self, collector: ReadCollector) -> List[Diagnostic]:
         diagnostics: List[Diagnostic] = []
-        for check in (_check_multiplicities, audit_links):
-            report = ValidationReport()
-            with untracked():
-                check(self.element, report)
+        report = ValidationReport()
+        for check in _STRUCTURAL_CHECKS:
+            check(self.element, report)
             if report.diagnostics:
-                report = ValidationReport()
-                check(self.element, report)
+                report.diagnostics = []
+                with collector:
+                    check(self.element, report)
+                    for diagnostic in report.diagnostics:
+                        diagnostic._record = encode_record(diagnostic)
                 diagnostics += report.diagnostics
+                report.diagnostics = []
         return diagnostics
 
 
@@ -144,9 +178,8 @@ class InvariantUnit(_Unit):
     __slots__ = ("invariant", "element")
     kind = "invariant"
 
-    def __init__(self, invariant: Any, element: Element):
-        self.invariant = invariant
-        self.element = element
+    def __init__(self, key: tuple):
+        _tag, self.invariant, self.element = key
 
     def run(self) -> List[Diagnostic]:
         report = ValidationReport()
@@ -162,6 +195,9 @@ class ConstraintUnit(InvariantUnit):
     __slots__ = ()
     kind = "constraint"
 
+    def __init__(self, key: tuple):
+        _tag, _constraint_set, self.invariant, self.element = key
+
 
 class WellformedUnit(_Unit):
     """One (well-formedness rule, root) pair."""
@@ -169,9 +205,8 @@ class WellformedUnit(_Unit):
     __slots__ = ("rule", "root")
     kind = "wellformed"
 
-    def __init__(self, rule: Any, root: Element):
-        self.rule = rule
-        self.root = root
+    def __init__(self, key: tuple):
+        _tag, self.rule, self.root = key
 
     def run(self) -> List[Diagnostic]:
         report = ValidationReport()
@@ -209,6 +244,23 @@ class LintUnit(_Unit):
                                                           context))
         return [diagnostic for diagnostic in admitted
                 if diagnostic is not None]
+
+
+#: unit key tag -> the runnable form, made from the key
+_UNIT_TYPES = {"struct": StructuralUnit, "inv": InvariantUnit,
+               "con": ConstraintUnit, "wf": WellformedUnit}
+
+
+class _Plan(NamedTuple):
+    """What each instance of one metaclass gets from a sync, computed
+    once per metaclass per sync: the metaclasses whose instance counts
+    it moves (itself first, then every superclass), and its units' key
+    prefixes in unit order, each with its rule for a lint unit (else
+    None).  An element keeps the plan its units were made from, so
+    leaving drops exactly those units."""
+
+    metaclasses: Tuple[MetaClass, ...]
+    units: Tuple[Tuple[tuple, Optional[LintRule]], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +344,9 @@ class IncrementalEngine:
         self.registry = session.registry
         self.config = session._lint_config(families)
 
-        self._units: Dict[tuple, _Unit] = {}
+        # unit key -> insertion sequence number (see _Unit)
+        self._units: Dict[tuple, int] = {}
+        self._lint_units: Dict[tuple, LintUnit] = {}
         # non-empty results only; a unit that reports nothing has no entry
         self._results: Dict[tuple, Tuple[Diagnostic, ...]] = {}
         # the keys of _results in unit order; None once a key came or went
@@ -305,7 +359,8 @@ class IncrementalEngine:
         # entered by the latest one)
         self._transitions: Dict[int, Tuple[Element, bool]] = {}
         self._built = False
-        self._element_keys: Dict[int, List[tuple]] = {}
+        # element id -> the plan its units were made from
+        self._element_plans: Dict[int, _Plan] = {}
         self._root_keys: Dict[int, List[tuple]] = {}
         self._mc_counts: Dict[MetaClass, int] = {}
         self._mc_keys: Dict[MetaClass, List[tuple]] = {}
@@ -319,6 +374,7 @@ class IncrementalEngine:
         self._structure_dirty = True
         self._quarantine: Dict[tuple, QuarantineEntry] = {}
         self.stats = EngineStats()
+        self._collector = ReadCollector()
         self.model.observe(self._on_change)
         self._index = self.model.index()
         self._index.listeners.append(self._on_membership)
@@ -346,15 +402,28 @@ class IncrementalEngine:
 
     # -- unit management ---------------------------------------------------
 
-    def _add_unit(self, key: tuple, unit: _Unit,
-                  keys: List[tuple]) -> None:
-        unit.seq = next(self._next_seq)
-        self._units[key] = unit
+    def _add_unit(self, key: tuple) -> None:
+        self._units[key] = next(self._next_seq)
         self._dirty.add(key)
-        keys.append(key)
+
+    def _unit(self, key: tuple) -> _Unit:
+        """The runnable form of unit *key* (see :class:`_Unit`)."""
+        unit_type = _UNIT_TYPES.get(key[0])
+        if unit_type is None:
+            return self._lint_units[key]
+        return unit_type(key)
+
+    def _kind(self, key: tuple) -> str:
+        """The family unit *key* reports under."""
+        unit_type = _UNIT_TYPES.get(key[0])
+        if unit_type is None:
+            return self._lint_units[key].kind
+        return unit_type.kind
 
     def _drop_unit(self, key: tuple) -> None:
         self._units.pop(key, None)
+        if key[0] == "lint":
+            self._lint_units.pop(key, None)
         if self._results.pop(key, None) is not None:
             self._ordered = None
         self._deps.drop(key)
@@ -368,48 +437,76 @@ class IncrementalEngine:
         """A unit per rule of the selected rule families for *target*."""
         for rule in self.registry.rules(target_kind, self.config,
                                         families=self.rule_families):
-            self._add_unit(("lint", rule.name, target),
-                           LintUnit(rule, target, self.config, self.registry),
-                           keys)
+            key = ("lint", rule.name, target)
+            self._add_lint_unit(key, rule)
+            keys.append(key)
 
-    def _add_element(self, element: Element) -> None:
-        keys: List[tuple] = []
-        metaclasses = [element.meta] + element.meta.all_superclasses()
+    def _add_lint_unit(self, key: tuple, rule: LintRule) -> None:
+        self._lint_units[key] = LintUnit(rule, key[2], self.config,
+                                         self.registry)
+        self._add_unit(key)
+
+    def _plan(self, element: Element) -> _Plan:
+        """The plan of *element*'s metaclass (see :class:`_Plan`)."""
+        meta = element.meta
+        metaclasses = (meta, *meta.all_superclasses())
+        units: List[Tuple[tuple, Optional[LintRule]]] = []
         if self.structural:
-            self._add_unit(("struct", element), StructuralUnit(element), keys)
+            units.append((("struct",), None))
         if self.invariants:
             seen: Set[int] = set()
             for metaclass in metaclasses:
                 for invariant in metaclass.invariants:
                     if id(invariant) not in seen:
                         seen.add(id(invariant))
-                        self._add_unit(("inv", invariant, element),
-                                       InvariantUnit(invariant, element),
-                                       keys)
+                        units.append((("inv", invariant), None))
         for constraint_set in self.constraint_sets:
             for invariant in constraint_set.invariants:
-                if element.meta.conforms_to(invariant.context):
-                    self._add_unit(
-                        ("con", constraint_set, invariant, element),
-                        ConstraintUnit(invariant, element), keys)
+                if meta.conforms_to(invariant.context):
+                    units.append((("con", constraint_set, invariant), None))
         if self.rule_families:
+            # a metaclass has one Python class, so its instances share
+            # a target kind
             target_kind = element_target(element)
             if target_kind is not None:
-                self._add_lint_units(element, target_kind, keys)
-        for metaclass in metaclasses:
-            count = self._mc_counts.get(metaclass, 0)
-            self._mc_counts[metaclass] = count + 1
+                units += [(("lint", rule.name), rule)
+                          for rule in self.registry.rules(
+                              target_kind, self.config,
+                              families=self.rule_families)]
+        return _Plan(metaclasses, tuple(units))
+
+    def _add_element(self, element: Element,
+                     plans: Dict[MetaClass, _Plan]) -> None:
+        plan = plans.get(element.meta)
+        if plan is None:
+            plan = plans[element.meta] = self._plan(element)
+        units, dirty, seq = self._units, self._dirty, self._next_seq
+        tail = (element,)
+        for prefix, rule in plan.units:
+            key = prefix + tail
+            if rule is None:
+                # _add_unit, inline: a build adds nearly every unit here
+                units[key] = next(seq)
+                dirty.add(key)
+            else:
+                self._add_lint_unit(key, rule)
+        counts = self._mc_counts
+        for metaclass in plan.metaclasses:
+            count = counts.get(metaclass, 0)
+            counts[metaclass] = count + 1
             if count == 0 and self.rule_families:
                 mc_keys: List[tuple] = []
                 self._add_lint_units(metaclass, "metaclass", mc_keys)
                 if mc_keys:
                     self._mc_keys[metaclass] = mc_keys
-        self._element_keys[id(element)] = keys
+        self._element_plans[id(element)] = plan
 
     def _remove_element(self, element_id: int, element: Element) -> None:
-        for key in self._element_keys.pop(element_id, ()):
-            self._drop_unit(key)
-        for metaclass in [element.meta] + element.meta.all_superclasses():
+        plan = self._element_plans.pop(element_id)
+        tail = (element,)
+        for prefix, _rule in plan.units:
+            self._drop_unit(prefix + tail)
+        for metaclass in plan.metaclasses:
             count = self._mc_counts.get(metaclass, 0) - 1
             if count <= 0:
                 self._mc_counts.pop(metaclass, None)
@@ -422,8 +519,9 @@ class IncrementalEngine:
         keys: List[tuple] = []
         if self.wellformed and isinstance(root, Package):
             for rule in WELLFORMED_RULES:
-                self._add_unit(("wf", rule, root),
-                               WellformedUnit(rule, root), keys)
+                key = ("wf", rule, root)
+                self._add_unit(key)
+                keys.append(key)
         self._add_lint_units(root, "model", keys)
         self._root_keys[id(root)] = keys
 
@@ -432,12 +530,15 @@ class IncrementalEngine:
     def _sync_structure(self) -> None:
         self.stats.syncs += 1
         transitions, self._transitions = self._transitions, {}
+        # computed afresh by each sync, so a plan sees the invariants and
+        # rules registered at the time
+        plans: Dict[MetaClass, _Plan] = {}
         if not self._built:
             # the one full walk: preorder fixes the initial unit order
             for element in self.model.all_elements():
                 if id(element) not in self._elements:
                     self._elements[id(element)] = element
-                    self._add_element(element)
+                    self._add_element(element, plans)
             self._built = True
         else:
             # every removal before any addition, as a re-walk would: a
@@ -458,7 +559,7 @@ class IncrementalEngine:
                     self._invalidate_readers_of(element)
             for element in entered:
                 self._elements[id(element)] = element
-                self._add_element(element)
+                self._add_element(element, plans)
 
         old_root_ids = {id(root) for root in self._roots_snapshot}
         new_root_ids = {id(root) for root in self.model.roots}
@@ -552,9 +653,17 @@ class IncrementalEngine:
 
     def _note_external_reads(self, key: tuple, reads: Set[ReadKey]) -> None:
         elements = self._elements
-        found = {id(obj): obj for obj, _name in reads
-                 if isinstance(obj, Element) and id(obj) not in elements}
-        previous = self._external_reads.pop(key, None)
+        found: Dict[int, Element] = {}
+        # nearly every read names an element inside the scope: the scan
+        # for the others starts only at the first read that does not
+        for obj, _name in reads:
+            if id(obj) not in elements:
+                found = {id(obj): obj for obj, _name in reads
+                         if id(obj) not in elements
+                         and isinstance(obj, Element)}
+                break
+        previous = self._external_reads.pop(key, None) \
+            if self._external_reads else None
         if found:
             self._external_reads[key] = found
             for obj_id, obj in found.items():
@@ -583,17 +692,14 @@ class IncrementalEngine:
     #: consecutive-failure backoff cap: 2**6 = 64 revalidation passes
     _BACKOFF_CAP = 6
 
-    def _run_unit(self, key: tuple, unit: _Unit) -> None:
-        reads: Set[ReadKey] = set()
+    def _run_unit(self, key: tuple) -> None:
+        unit = self._unit(key)
+        reads = self._collector.reads
+        reads.clear()
         try:
-            with collect_reads(reads):
-                if _faults.ACTIVE is not None:
-                    _faults.probe("checker.run")
-                diagnostics = unit.run()
-                # rendered here, the names a record shows join the unit's
-                # reads: a write that changes the record reruns the unit
-                for diagnostic in diagnostics:
-                    diagnostic._record = encode_record(diagnostic)
+            if _faults.ACTIVE is not None:
+                _faults.probe("checker.run")
+            diagnostics = unit.run_into(self._collector)
         except Exception as exc:  # noqa: BLE001 - isolation is the point
             self._quarantine_unit(key, unit, exc, reads)
             return
@@ -604,10 +710,11 @@ class IncrementalEngine:
         elif self._results.pop(key, None) is not None:
             self._ordered = None
         self._deps.set_reads(key, reads)
-        self._note_external_reads(key, reads)
+        if reads or self._external_reads:
+            self._note_external_reads(key, reads)
         self.stats.unit_runs += 1
-        if key in self._quarantine:
-            del self._quarantine[key]
+        if self._quarantine:
+            self._quarantine.pop(key, None)
 
     def _quarantine_unit(self, key: tuple, unit: _Unit, exc: Exception,
                          reads: Set[ReadKey]) -> None:
@@ -657,8 +764,7 @@ class IncrementalEngine:
         out = []
         for key, entry in sorted(self._quarantine.items(),
                                  key=lambda item: -item[1].failures):
-            unit = self._units.get(key)
-            kind = unit.kind if unit is not None else "?"
+            kind = self._kind(key) if key in self._units else "?"
             out.append(f"[{kind}] {key[-1] if key else '?'}: "
                        f"{entry.error} (failures {entry.failures}, "
                        f"retry at pass {entry.retry_at})")
@@ -696,17 +802,20 @@ class IncrementalEngine:
         if self._structure_dirty:
             self._sync_structure()
         dirty, self._dirty = self._dirty, set()
+        units, quarantine = self._units, self._quarantine
         rerun = 0
-        for key in dirty:
-            unit = self._units.get(key)
-            if unit is None:
-                continue
-            entry = self._quarantine.get(key)
+        # dirty keys are always units, so equal sizes mean every unit is
+        # dirty, as after a build: then they run in unit order, each
+        # element's units one after another over data still in cache
+        pending = units if len(dirty) == len(units) else [
+            key for key in dirty if key in units]
+        for key in pending:
+            entry = quarantine.get(key) if quarantine else None
             if entry is not None and not entry.due(self.stats.revalidations):
                 # backing off: stays pending without re-running
                 self._dirty.add(key)
                 continue
-            self._run_unit(key, unit)
+            self._run_unit(key)
             rerun += 1
         self.stats.last_rerun = rerun
         self.stats.last_skipped = len(self._units) - rerun
@@ -721,8 +830,8 @@ class IncrementalEngine:
         if self._structure_dirty:
             self._sync_structure()
         report = ValidationReport()
-        for unit in self._units.values():
-            report.diagnostics.extend(unit.run())
+        for key in self._units:
+            report.diagnostics.extend(self._unit(key).run())
         return report
 
     # -- results -----------------------------------------------------------
@@ -731,9 +840,8 @@ class IncrementalEngine:
         """The keys of the non-empty results, in unit insertion order;
         sorted again only after a key came or went."""
         if self._ordered is None:
-            units = self._units
             self._ordered = sorted(self._results,
-                                   key=lambda key: units[key].seq)
+                                   key=self._units.__getitem__)
         return self._ordered
 
     def report(self) -> ValidationReport:
@@ -751,9 +859,9 @@ class IncrementalEngine:
         and the same families, as a batch ``Session.check``."""
         by_family: Dict[str, List[Diagnostic]] = {
             family: [] for family in self.families}
-        units, results = self._units, self._results
+        results = self._results
         for key in self._result_keys():
-            by_family[units[key].kind].extend(results[key])
+            by_family[self._kind(key)].extend(results[key])
         return CheckResult(by_family)
 
     def unit_count(self) -> int:
@@ -766,11 +874,19 @@ class IncrementalEngine:
         return {"units": len(deps), "keys": deps.key_count(),
                 "edges": deps.edge_count()}
 
-    def verify(self) -> List[str]:
+    def verify(self, rerun: bool = False) -> List[str]:
         """Compare membership, reports and memoized records against a
         recomputation from scratch and audit the dependency index
         (:meth:`DependencyGraph.verify`); return a list of discrepancies
         (empty when consistent).
+
+        The reports are compared with the units' cached results, so a
+        unit that should have rerun and did not goes unseen.  With
+        *rerun* (for tests: it costs a build) every unit also runs
+        again, through the engine's own unit code into a scratch
+        collector, and each unit whose diagnostics, records or read set
+        differ from what the engine keeps is listed; the index, the
+        results and :attr:`stats` stay untouched.
 
         Meant to run right after :meth:`revalidate`: edits made since
         then are not yet applied and show up as discrepancies.
@@ -789,6 +905,8 @@ class IncrementalEngine:
                      if key not in self._root_keys]
         problems += [f"units for a removed root: id {key}"
                      for key in self._root_keys if key not in roots]
+        problems += [f"lint unit kept for a dropped unit: {key!r}"
+                     for key in self._lint_units if key not in self._units]
         orphans = [key for key in self._results if key not in self._units]
         problems += [f"result kept for a dropped unit: {key!r}"
                      for key in orphans]
@@ -813,16 +931,18 @@ class IncrementalEngine:
                 for element_id in found):
             problems.append("external reader counts differ from the "
                             "units' recorded external reads")
+        if rerun:
+            problems += self._rerun_problems()
         if orphans:
             return problems     # the report scan below needs every unit
         # the reference: a scan of every unit, in unit order
         scanned: List[Diagnostic] = []
         by_family: Dict[str, List[int]] = {
             family: [] for family in self.families}
-        for key, unit in self._units.items():
+        for key in self._units:
             diagnostics = self._results.get(key, ())
             scanned.extend(diagnostics)
-            by_family[unit.kind].extend(map(id, diagnostics))
+            by_family[self._kind(key)].extend(map(id, diagnostics))
         if list(map(id, self.report().diagnostics)) != list(map(id, scanned)):
             problems.append("report() differs from the scan of every unit")
         split = {family: list(map(id, diagnostics)) for family, diagnostics
@@ -830,6 +950,35 @@ class IncrementalEngine:
         if split != by_family:
             problems.append(
                 "check_result() differs from the scan of every unit")
+        return problems
+
+    def _rerun_problems(self) -> List[str]:
+        """Each unit whose rerun disagrees with its cached result or its
+        recorded reads (see :meth:`verify`).  A quarantined unit keeps
+        its crash report instead of a result, so it is skipped."""
+        problems: List[str] = []
+        scratch = ReadCollector()
+        for key in self._units:
+            if key in self._quarantine:
+                continue
+            scratch.reads.clear()
+            try:
+                fresh = self._unit(key).run_into(scratch)
+            except Exception as exc:  # noqa: BLE001 - reported, not raised
+                problems.append(f"rerun of {key!r} raised {exc!r}")
+                continue
+            cached = self._results.get(key, ())
+            if list(map(diagnostic_key, fresh)) != \
+                    list(map(diagnostic_key, cached)):
+                problems.append(f"stale result for {key!r}: cached "
+                                f"{len(cached)}, a rerun reports "
+                                f"{len(fresh)}")
+            elif [d._record for d in fresh] != [d._record for d in cached]:
+                problems.append(f"stale records for {key!r}")
+            if frozenset(scratch.reads) != self._deps.reads(key):
+                problems.append(f"stale reads for {key!r}: a rerun reads "
+                                f"{len(scratch.reads)} keys, the index "
+                                f"holds {len(self._deps.reads(key))}")
         return problems
 
     def __repr__(self) -> str:

@@ -33,15 +33,16 @@ Staleness protocol — how the index stays honest against the live model:
 * **Root hooks.**  ``Model.add_root``/``remove_root`` bypass the
   notification machinery (no feature is involved), so :class:`Model`
   calls :meth:`ModelIndex.root_added`/:meth:`root_removed` directly.
-  The kernel refuses to contain a model root (``kernel._link``), so a
-  root never enters a containment slot unannounced, and an element's
-  root changes only with one of its transitions.
+  The kernel refuses to contain a model root (``kernel._link``), or,
+  for a model that gives contained roots up, takes the root out of the
+  model first, so a root never enters a containment slot unannounced,
+  and an element's root changes only with one of its transitions.
 * **Lazy eids.**  ``Element.eid`` assigns ids lazily and ``set_eid``
   rebinds them, both silently — so :meth:`resolve_eid` cross-checks the
   hit (same eid, still indexed) and falls back to a repairing scan on a
   miss.  Extent membership has no such silent channel.
 * **Tracking gating and extent reads.**  While dependency tracking is
-  active (``kernel._TRACKING``, raised by ``collect_reads``), the
+  active (``kernel._TRACKING``, raised by a ``ReadCollector``), the
   incremental engine derives invalidation sets from recorded reads.
   ``Model.instances_of`` and ``Repository.all_instances`` would hide
   per-element reads, so they defer to the legacy scans.  A preorder

@@ -82,7 +82,7 @@ instance of the metaclass, or of a subclass, enters, leaves or moves."""
 _READ_HOOK = None
 
 #: Nesting depth of dependency-tracked reads, raised and lowered by
-#: :func:`repro.incremental.tracking.collect_reads`.  Bulk fast paths
+#: :class:`repro.incremental.tracking.ReadCollector`.  Bulk fast paths
 #: (extent index, column store) answer without the per-element reads a
 #: tracker must record, so the gates in :mod:`repro.mof.repository` test
 #: this depth rather than :data:`_READ_HOOK`: a counting probe such as
@@ -867,7 +867,9 @@ def _unlink(source: "Element", feature: Reference, target: "Element",
 
 def _check_containable(container: "Element", child: "Element") -> None:
     """Refuse to put *child* into *container*: it may be neither an
-    ancestor of *container* (a cycle) nor a root of a model.  As
+    ancestor of *container* (a cycle) nor a root of a model, unless that
+    model gives contained roots up (``Model.releases_contained_roots``;
+    :func:`_link` then takes *child* out of it first).  As
     ``Model.add_root`` admits only container-less elements, a model root
     never has a container, so an element's root changes only when it
     enters or leaves a model (the model index's transitions)."""
@@ -876,7 +878,8 @@ def _check_containable(container: "Element", child: "Element") -> None:
             f"containment cycle: {child!r} already (transitively) "
             f"contains {container!r}"
         )
-    if child._model is not None:
+    if child._model is not None \
+            and not child._model.releases_contained_roots:
         raise CompositionError(
             f"{child!r} is a root of {child._model!r}; a model root "
             f"cannot be contained")
@@ -897,6 +900,12 @@ def _link(source: "Element", feature: Reference, target: "Element",
         _check_containable(source, target)
     if opposite is not None and opposite.containment:
         _check_containable(target, source)
+    # a root that may be contained leaves its model before it is
+    if feature.containment and target._model is not None:
+        target._model.remove_root(target)
+    if opposite is not None and opposite.containment \
+            and source._model is not None:
+        source._model.remove_root(source)
 
     # Displace current occupants of single-valued ends.
     if not feature.many:

@@ -41,6 +41,13 @@ def set_root_hook(hook):
 class Model:
     """A named collection of root elements forming one model document."""
 
+    #: whether a link may contain one of this model's roots, which then
+    #: leaves the model first (``kernel._check_containable``).  A model
+    #: document keeps its roots; the private model a
+    #: :class:`~repro.session.Session` makes over elements that share no
+    #: model holds them only to check them, and gives them up.
+    releases_contained_roots = False
+
     def __init__(self, uri: str, name: Optional[str] = None):
         self.uri = uri
         self.name = name or uri.rsplit("/", 1)[-1]

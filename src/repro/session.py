@@ -501,6 +501,15 @@ class Session:
                 f"constraint_sets={len(self.constraint_sets)}>")
 
 
+class _PrivateModel(Model):
+    """The model a session makes over roots that share none.  It holds
+    them only to check them, so a root that a link puts into another
+    element leaves it (its index announces the subtree's leave, and the
+    session's views drop it) instead of being refused."""
+
+    releases_contained_roots = True
+
+
 def _resolve_scope(scope: Scope) -> Model:
     """The model a session checks: *scope* itself, the model its roots
     share, or a private model over them, so that element notifications
@@ -517,7 +526,7 @@ def _resolve_scope(scope: Scope) -> Model:
     if shared is not None and all(
             getattr(root, "_model", None) is shared for root in roots):
         return shared
-    model = Model(f"urn:incremental:{roots[0].eid}")
+    model = _PrivateModel(f"urn:incremental:{roots[0].eid}")
     for root in roots:
         model.add_root(root)
     return model

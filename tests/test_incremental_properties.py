@@ -9,22 +9,29 @@ a multiset of :func:`repro.incremental.diagnostic_key` signatures after
 a diagnostic fails on the exact (seed, step) that exposes it.  After
 every edit the engine's own self-check (:meth:`IncrementalEngine.verify`:
 membership against a full containment walk, reports against a scan of
-every unit) must also come back empty.
+every unit) must also come back empty; after a pair's last edit, and
+after every edit of a ``detached`` pair, it also reruns every unit
+(``verify(rerun=True)``), which sees a unit that should have rerun and
+did not, and a read set that lost a key.
 
 Two metamodels are covered: the self-contained ``genlib`` demo package
 (structural + OCL invariant checking) and a curated slice of UML
 (structural + invariants + well-formedness + lint).  Together the
-parametrisations form 200 (model, edit-sequence) pairs.
+parametrisations form 200 (model, edit-sequence) pairs, plus pairs
+under the fuzzer's ``detached`` profile, whose edits write elements
+that left the tree but are still referenced.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.generate import EditFuzzer, demo_generator, uml_generator
+from repro.generate import (EditFuzzer, demo_generator, demo_package,
+                            uml_generator)
 from repro.analysis import LintConfig, ModelLinter
 from repro.incremental import IncrementalEngine, report_signature
 from repro.mof.validate import validate_tree
+from repro.ocl.invariants import ConstraintSet
 from repro.session import Session
 from repro.uml.wellformed import run_wellformed_rules
 
@@ -34,12 +41,15 @@ UML_FAMILIES = ["structural", "invariant", "wellformed", "lint"]
 DEMO_PAIRS = 120
 UML_PAIRS = 80
 EDITS_PER_PAIR = 6
+DETACHED_PAIRS = 8         # per metamodel
+EDITS_PER_DETACHED_PAIR = 8
 
 
-def _assert_equivalent(engine, oracle, *, seed, step, history):
+def _assert_equivalent(engine, oracle, *, seed, step, history,
+                       rerun=False):
     engine.revalidate()
     actual = report_signature(engine.report())
-    problems = engine.verify()
+    problems = engine.verify(rerun=rerun)
     if problems:
         pytest.fail(
             f"engine self-check failed at seed={seed} after edit "
@@ -76,7 +86,7 @@ def test_demo_metamodel_pair(seed):
         description = fuzzer.random_edit()
         history.append(description or "(no applicable edit)")
         _assert_equivalent(engine, oracle, seed=seed, step=step,
-                           history=history)
+                           history=history, rerun=step == EDITS_PER_PAIR)
     engine.detach()
 
 
@@ -101,8 +111,88 @@ def test_uml_metamodel_pair(seed):
         description = fuzzer.random_edit()
         history.append(description or "(no applicable edit)")
         _assert_equivalent(engine, oracle, seed=seed, step=step,
-                           history=history)
+                           history=history, rerun=step == EDITS_PER_PAIR)
     engine.detach()
+
+
+def _through_references():
+    """Demo constraints that read through the one-way references the
+    ``detached`` profile detaches elements behind (``sequel``,
+    ``authors``): no registered demo invariant reads a referenced
+    element's own slots, so without these a detached element would
+    reach no demo unit's read set."""
+    book = demo_package().classifier("GBook")
+    constraints = ConstraintSet("through-references")
+    constraints.add(book, "sequel-paged",
+                    "self.sequel.oclIsUndefined() or self.sequel.pages > 0")
+    constraints.add(book, "authors-named",
+                    "self.authors->forAll(a | not a.name.oclIsUndefined())")
+    return constraints
+
+
+def _detached_pair(seed, root, generator, engine, oracle):
+    """Run one ``detached`` pair; whether the engine ever observed an
+    element outside its scope."""
+    fuzzer = EditFuzzer(root, seed=seed + 30_000, generator=generator,
+                        profile="detached")
+    history, observed = [], False
+    _assert_equivalent(engine, oracle, seed=seed, step=0, history=history,
+                       rerun=True)
+    for step in range(1, EDITS_PER_DETACHED_PAIR + 1):
+        description = fuzzer.random_edit()
+        history.append(description or "(no applicable edit)")
+        _assert_equivalent(engine, oracle, seed=seed, step=step,
+                           history=history, rerun=True)
+        observed = observed or bool(engine._external)
+    engine.detach()
+    return observed
+
+
+def _demo_case(seed):
+    """Writes to detached, still referenced books and authors reach the
+    units that read them through ``sequel`` and ``authors``."""
+    generator = demo_generator(seed=seed)
+    root = generator.generate(40)
+    constraints = _through_references()
+    engine = IncrementalEngine(Session(root, constraint_sets=[constraints]),
+                               ["structural", "invariant", "constraint"])
+
+    def oracle():
+        return (report_signature(validate_tree(root))
+                + report_signature(constraints.evaluate(root)))
+
+    return seed, root, generator, engine, oracle
+
+
+def _uml_case(seed):
+    generator = uml_generator(seed=seed)
+    root = generator.generate(40)
+    engine = IncrementalEngine(Session(root), UML_FAMILIES)
+    linter = ModelLinter(config=LintConfig(disabled={"uml-wellformed"}))
+
+    def oracle():
+        return (report_signature(validate_tree(root))
+                + report_signature(run_wellformed_rules(root))
+                + report_signature(linter.lint(root)))
+
+    return seed, root, generator, engine, oracle
+
+
+@pytest.mark.parametrize("seed", range(DETACHED_PAIRS))
+def test_demo_detached_pair(seed):
+    _detached_pair(*_demo_case(seed))
+
+
+@pytest.mark.parametrize("seed", range(DETACHED_PAIRS))
+def test_uml_detached_pair(seed):
+    _detached_pair(*_uml_case(seed))
+
+
+def test_detached_profile_reaches_external_reads():
+    """The ``detached`` pairs exercise the engine's observation of
+    elements outside its scope on both metamodels."""
+    assert _detached_pair(*_demo_case(0))
+    assert _detached_pair(*_uml_case(7))
 
 
 def test_pair_budget():

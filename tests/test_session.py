@@ -16,10 +16,10 @@ from repro.analysis import ModelLinter
 from repro.generate import (EditFuzzer, demo_generator, demo_package,
                             uml_generator)
 from repro.incremental import report_signature
-from repro.mof import Model
+from repro.mof import CompositionError, Model, transaction
 from repro.mof.validate import ValidationReport, validate_tree
 from repro.session import DEFAULT_FAMILIES, FAMILIES, CheckResult, Session
-from repro.uml import Clazz
+from repro.uml import Clazz, ModelFactory
 from repro.uml.wellformed import run_wellformed_rules
 
 DEMO_SEEDS = range(20)
@@ -239,6 +239,54 @@ class TestSessionSurface:
         for scope in (root, [root], _as_model(root)):
             assert Session(scope).check(
                 families=("structural",)).families == ("structural",)
+
+    def test_checking_an_element_does_not_pin_it(self):
+        """``Session(element)`` holds the element in a private model
+        only to check it: a link may still contain it elsewhere."""
+        outer, inner = ModelFactory("outer"), ModelFactory("inner")
+        Session(inner.model).check()
+        outer.model.packaged_elements.append(inner.model)
+        assert inner.model.container is outer.model
+        assert inner.model._model is None
+
+    def test_a_view_drops_a_root_that_moves_elsewhere(self):
+        outer, inner = ModelFactory("outer"), ModelFactory("inner")
+        inner.clazz("Account", attrs={"balance": "Integer"})
+        session = Session(inner.model)
+        view = session.watch()
+        assert view.unit_count() > 0
+        outer.model.packaged_elements.append(inner.model)
+        assert session.model.roots == []
+        view.revalidate()
+        assert view.verify(rerun=True) == []
+        assert view.unit_count() == 0
+        # the outer model's own view now checks the moved subtree
+        outer_view = Session(outer.model).watch()
+        assert outer_view.verify(rerun=True) == []
+        assert report_signature(outer_view.report()) == report_signature(
+            ValidationReport(Session(outer.model).check().diagnostics))
+        view.detach()
+        outer_view.detach()
+
+    def test_a_rolled_back_move_returns_the_root(self):
+        outer, inner = ModelFactory("outer"), ModelFactory("inner")
+        session = Session(inner.model)
+        view = session.watch()
+        with pytest.raises(RuntimeError):
+            with transaction(outer.model):
+                outer.model.packaged_elements.append(inner.model)
+                raise RuntimeError("abandon the edit")
+        assert session.model.roots == [inner.model]
+        assert inner.model.container is None
+        view.revalidate()
+        assert view.verify(rerun=True) == []
+        view.detach()
+
+    def test_a_model_document_keeps_its_roots(self):
+        outer, inner = ModelFactory("outer"), ModelFactory("inner")
+        Session(_as_model(inner.model)).check()
+        with pytest.raises(CompositionError):
+            outer.model.packaged_elements.append(inner.model)
 
     def test_default_families(self):
         root = uml_generator(1).generate(20)
