@@ -11,7 +11,7 @@ import os
 import random
 import statistics
 import time
-from typing import Callable, List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from repro.profiles import Task
 from repro.uml import Clazz, ModelFactory, StateMachine
@@ -26,14 +26,31 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 VIEW_FAMILIES = ("structural", "invariant", "wellformed", "lint")
 
 
+class Spread(NamedTuple):
+    """The median of one side's timed rounds with its quartiles, in
+    milliseconds; prints as ``median [Q1, Q3]``."""
+
+    median: float
+    q1: float
+    q3: float
+
+    @classmethod
+    def of(cls, seconds: List[float]) -> "Spread":
+        q1, _, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+        return cls(statistics.median(seconds) * 1e3, q1 * 1e3, q3 * 1e3)
+
+    def __str__(self) -> str:
+        return f"{self.median:.3f} [{self.q1:.3f}, {self.q3:.3f}]"
+
+
 def paired_medians(a: Callable[[], object], b: Callable[[], object],
-                   rounds: int) -> Tuple[float, float]:
-    """Median milliseconds of *rounds* timed calls of *a* and of *b*.
+                   rounds: int) -> Tuple[Spread, Spread]:
+    """The :class:`Spread` of *rounds* timed calls of *a* and of *b*.
 
     The two are interleaved, and which goes first alternates each round,
     so a slow phase of the host or a cache effect hits both sides
     instead of deciding a ratio gate.  Each side runs once untimed
-    first, to warm both paths."""
+    first, to warm both paths.  Gates compare the medians."""
     a()
     b()
     a_times: List[float] = []
@@ -46,8 +63,7 @@ def paired_medians(a: Callable[[], object], b: Callable[[], object],
             started = time.perf_counter()
             fn()
             bucket.append(time.perf_counter() - started)
-    return (statistics.median(a_times) * 1e3,
-            statistics.median(b_times) * 1e3)
+    return Spread.of(a_times), Spread.of(b_times)
 
 
 def make_oo_design(n_classes: int, seed: int = 7) -> ModelFactory:

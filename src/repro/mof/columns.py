@@ -19,19 +19,16 @@ The full pass reads them in two places: the structural suspect scan
 :mod:`repro.ocl.columns`, both tight loops over contiguous columns
 instead of per-object ``get()`` calls.
 
-Staleness protocol — blocks are built lazily on first read and
-**invalidated on write**:
+Freshness — the store is a **cache of the model index** and subscribes
+to nothing:
 
-* **Membership** comes from the model's
-  :class:`~repro.mof.index.ModelIndex`: the store is one of its
-  :attr:`~repro.mof.index.ModelIndex.listeners`, so every element that
-  enters or leaves the model (through a containment write or
-  ``Model.add_root``/``remove_root``) marks its exact metaclass stale.
-  The index has already walked the subtree to announce it, so the store
-  walks nothing itself.
-* **Values** come from the model's notification stream: a write marks
-  the written element's exact metaclass stale (the opposite side of a
-  reference notifies on its own element).
+* :attr:`ModelIndex.changes <repro.mof.index.ModelIndex.changes>` counts
+  every notification (any write, link, containment change, move or
+  rollback inverse on a model element) and root change the index sees.
+  Each block keeps the count it was built at, and
+  :meth:`ColumnStore.block` rebuilds a block whose count is behind.
+  Any change makes every block stale; a full pass re-reads blocks only
+  over an unchanged model.
 * While dependency tracking is active, ``Model.column_store()`` answers
   ``None``, so callers take the per-object path the incremental engine
   can observe.  A counting read probe alone (such as
@@ -39,7 +36,7 @@ Staleness protocol — blocks are built lazily on first read and
 
 Columns hold **no authority**: the object slots stay the single source of
 truth, a stale block is simply rebuilt from the extent on next read, and
-:meth:`ColumnStore.verify` cross-checks every built column against the
+:meth:`ColumnStore.verify` cross-checks every current column against the
 per-object reads it replaced (the oracle the property tests use).
 """
 
@@ -50,7 +47,6 @@ from array import array
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from .kernel import Element, Feature, MetaClass, Reference
-from .notify import Notification
 
 if TYPE_CHECKING:                                   # pragma: no cover
     from .repository import Model
@@ -83,11 +79,12 @@ def _raw_items(element: Element, feature: Feature) -> Tuple[Any, ...]:
 class ExtentColumns:
     """The struct-of-arrays image of one exact-metaclass extent."""
 
-    __slots__ = ("meta", "built", "elements", "columns", "kinds")
+    __slots__ = ("meta", "changes", "elements", "columns", "kinds")
 
     def __init__(self, meta: MetaClass):
         self.meta = meta
-        self.built = False
+        #: the index's change count the block was built at (-1: never)
+        self.changes = -1
         self.elements: List[Element] = []
         self.columns: Dict[str, Any] = {}
         self.kinds: Dict[str, str] = {}
@@ -119,7 +116,6 @@ class ExtentColumns:
                 kinds[name] = ATTR1
         self.columns = columns
         self.kinds = kinds
-        self.built = True
 
     def nbytes(self) -> int:
         """Approximate heap footprint of the columns (arrays exactly,
@@ -134,13 +130,13 @@ class ExtentColumns:
 
     def __repr__(self) -> str:
         return (f"<ExtentColumns {self.meta.name} rows={len(self.elements)} "
-                f"built={self.built}>")
+                f"changes={self.changes}>")
 
 
 class ColumnStore:
     """Per-extent columns over one :class:`~repro.mof.repository.Model`,
-    invalidated from index membership transitions and change
-    notifications, and rebuilt lazily on read.
+    rebuilt on read when the model index has changed since they were
+    built.
 
     Created via ``Model.enable_columns()``; read through
     :meth:`scan_structural` (structural suspect scan) and the row plans
@@ -150,28 +146,7 @@ class ColumnStore:
         self.model = model
         self._index = model.index()
         self._blocks: Dict[MetaClass, ExtentColumns] = {}
-        self._built = 0
         self.rebuilds = 0
-        self.invalidations = 0
-        model.observe(self._on_change)
-        self._index.listeners.append(self._on_membership)
-
-    # -- staleness intake --------------------------------------------------
-
-    def _on_change(self, notification: Notification) -> None:
-        if self._built:
-            self._invalidate_meta(notification.element.meta)
-
-    def _on_membership(self, element: Element, entered: bool) -> None:
-        if self._built:
-            self._invalidate_meta(element.meta)
-
-    def _invalidate_meta(self, meta: MetaClass) -> None:
-        block = self._blocks.get(meta)
-        if block is not None and block.built:
-            block.built = False
-            self._built -= 1
-            self.invalidations += 1
 
     # -- block access ------------------------------------------------------
 
@@ -181,14 +156,15 @@ class ColumnStore:
         return list(self._index._extent.keys())
 
     def block(self, meta: MetaClass) -> ExtentColumns:
-        """The (freshly built) column block for *meta*'s exact extent."""
+        """The column block for *meta*'s exact extent, rebuilt first if
+        the model changed since it was built."""
         block = self._blocks.get(meta)
         if block is None:
-            block = ExtentColumns(meta)
-            self._blocks[meta] = block
-        if not block.built:
+            block = self._blocks[meta] = ExtentColumns(meta)
+        changes = self._index.changes
+        if block.changes != changes:
             block.build(self._index.instances_of(meta, exact=True))
-            self._built += 1
+            block.changes = changes
             self.rebuilds += 1
         return block
 
@@ -296,11 +272,12 @@ class ColumnStore:
     # -- oracle + introspection -------------------------------------------
 
     def verify(self) -> List[str]:
-        """Cross-check every built block against per-object reads; return
-        a list of discrepancies (the property-test oracle)."""
+        """Cross-check every current block against per-object reads;
+        return a list of discrepancies (the property-test oracle)."""
         problems: List[str] = []
+        changes = self._index.changes
         for meta, block in self._blocks.items():
-            if not block.built:
+            if block.changes != changes:
                 continue
             expected = self._index.instances_of(meta, exact=True)
             if [id(e) for e in expected] != [id(e) for e in block.elements]:
@@ -330,27 +307,22 @@ class ColumnStore:
         return problems
 
     def stats(self) -> Dict[str, Any]:
-        per_extent: Dict[str, Dict[str, Any]] = {}
-        total_bytes = 0
-        for meta, block in self._blocks.items():
-            nbytes = block.nbytes() if block.built else 0
-            total_bytes += nbytes
-            per_extent[meta.name] = {
-                "rows": len(block.elements) if block.built else 0,
-                "columns": len(block.columns) if block.built else 0,
-                "bytes": nbytes,
-                "built": block.built,
-            }
+        changes = self._index.changes
+        current = [block for block in self._blocks.values()
+                   if block.changes == changes]
         return {
             "enabled": True,
             "extents": len(self._blocks),
-            "built": self._built,
-            "bytes": total_bytes,
+            "built": len(current),
+            "bytes": sum(block.nbytes() for block in current),
             "rebuilds": self.rebuilds,
-            "invalidations": self.invalidations,
-            "per_extent": per_extent,
+            "per_extent": {
+                block.meta.name: {"rows": len(block.elements),
+                                  "columns": len(block.columns),
+                                  "bytes": block.nbytes()}
+                for block in current},
         }
 
     def __repr__(self) -> str:
         return (f"<ColumnStore {self.model.uri} blocks={len(self._blocks)} "
-                f"built={self._built}>")
+                f"changes={self._index.changes}>")

@@ -59,12 +59,11 @@ Staleness protocol — how the index stays honest against the live model:
 Membership listeners: the enter/leave transitions derived above are
 also handed to every callable in :attr:`ModelIndex.listeners` as
 ``listener(element, entered)``, once per real transition (an element
-already indexed does not re-enter).  The incremental engine and the
-column store (:mod:`repro.mof.columns`) take their element membership
-from these instead of re-walking the tree, so one protocol serves all
-three.  The subtree walk happens at notification time, which keeps
-"detach, mutate while detached, reattach" exact: the detached subtree
-leaves as it was, and re-enters as it is.
+already indexed does not re-enter).  The incremental engines take their
+element membership from these instead of re-walking the tree.  The
+subtree walk happens at notification time, which keeps "detach, mutate
+while detached, reattach" exact: the detached subtree leaves as it was,
+and re-enters as it is.
 
 ``REPRO_INDEX_VERIFY=1`` cross-checks every indexed answer, and every
 preorder, against the scan it replaced (the equivalence oracle the
@@ -143,6 +142,9 @@ class ModelIndex:
         #: called as ``listener(element, entered)`` on every membership
         #: transition (see the module docstring)
         self.listeners: List[Callable[[Element, bool], None]] = []
+        #: rises on every notification (before the containment filter),
+        #: root change and rebuild: the column store's cache key
+        self.changes = 0
         self.hits = 0
         self.eid_scans = 0
         self.rebuilds = 0
@@ -160,6 +162,7 @@ class ModelIndex:
         for root in self.model.roots:
             self._add_tree(root)
         self.rebuilds += 1
+        self.changes += 1
 
     # -- single-element maintenance --------------------------------------
 
@@ -210,6 +213,7 @@ class ModelIndex:
     # -- change intake ----------------------------------------------------
 
     def _on_change(self, notification: Notification) -> None:
+        self.changes += 1
         # Only the containment side decides membership; the opposite-side
         # mirror notification for the same mutation is ignored.
         if not getattr(notification.feature, "containment", False):
@@ -225,10 +229,12 @@ class ModelIndex:
         # MOVE repositions within a feature: membership unchanged.
 
     def root_added(self, root: Element) -> None:
+        self.changes += 1
         self._preorders.clear()
         self._add_tree(root)
 
     def root_removed(self, root: Element) -> None:
+        self.changes += 1
         self._preorders.clear()
         self._remove_tree(root)
 

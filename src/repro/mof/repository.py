@@ -61,18 +61,26 @@ class Model:
         """Attach a (container-less) element as a root of this model.
 
         While it is a root, the kernel refuses to contain it
-        (``CompositionError`` from ``kernel._link``)."""
+        (``CompositionError`` from ``kernel._link``).  A root belongs to
+        one model: it leaves one that :attr:`releases_contained_roots`,
+        and a root of any other model is refused."""
         if element.container is not None:
             raise RepositoryError(
                 f"{element!r} is contained by {element.container!r}; only "
                 f"container-less elements can be model roots"
             )
-        if element in self.roots:
+        owner = element._model
+        if owner is self:
             return element
+        if owner is not None:
+            if not owner.releases_contained_roots:
+                raise RepositoryError(
+                    f"{element!r} is a root of {owner!r}; a root belongs "
+                    f"to one model")
+            owner.remove_root(element)
         self.roots.append(element)
         object.__setattr__(element, "_model", self)
         # root attachment emits no notification; tell the index directly
-        # (the column store hears of it as index membership)
         if self._index is not None:
             self._index.root_added(element)
         if _ROOT_HOOK is not None:
@@ -98,10 +106,9 @@ class Model:
     def enable_columns(self) -> "ColumnStore":
         """Turn on the columnar extent store for this model (idempotent).
 
-        Columns take membership from the extent index's enter/leave
-        transitions and values from change notifications, and are
-        rebuilt lazily per metaclass on read — see
-        :mod:`repro.mof.columns` for the staleness protocol."""
+        The store is a cache of the extent index: a block is rebuilt on
+        read when the index's change count moved since it was built —
+        see :mod:`repro.mof.columns`."""
         if self._columns is None:
             from .columns import ColumnStore
             self._columns = ColumnStore(self)

@@ -349,19 +349,13 @@ class Session:
         if store is not None:
             # columnar fast path: one bulk scan over the extent columns
             # flags every element that *could* carry a structural
-            # diagnostic; only suspects get the per-object validator,
-            # visited in the sequential walk order (clean elements emit
-            # nothing, so the report is unchanged)
-            suspects = store.scan_structural()
+            # diagnostic; only suspects get the per-object validator, in
+            # walk order (clean elements emit nothing, so the report is
+            # unchanged)
             out: List[Diagnostic] = []
-            if suspects:
-                for root in self.model.roots:
-                    for element in [root, *root.all_contents()]:
-                        if id(element) in suspects:
-                            out.extend(
-                                validate_element(
-                                    element, check_invariants=False)
-                                .diagnostics)
+            for element in self._in_walk_order(store.scan_structural()):
+                out.extend(validate_element(
+                    element, check_invariants=False).diagnostics)
             return out
         out = []
         for root in self.model.roots:
@@ -378,18 +372,24 @@ class Session:
             # sequential diagnostics byte for byte
             from .mof.validate import _check_invariants
             from .ocl.columns import flag_registered_suspects
-            flagged = flag_registered_suspects(store)
             report = ValidationReport()
-            if flagged:
-                for root in self.model.roots:
-                    for element in [root, *root.all_contents()]:
-                        if id(element) in flagged:
-                            _check_invariants(element, report)
+            for element in self._in_walk_order(
+                    flag_registered_suspects(store)):
+                _check_invariants(element, report)
             return report.diagnostics
         out: List[Diagnostic] = []
         for root in self.model.roots:
             out.extend(validate_invariants(root).diagnostics)
         return out
+
+    def _in_walk_order(self, chosen: Dict[int, Element]) -> List[Element]:
+        """The elements of *chosen* (``{id(e): e}``) in the sequential
+        walk order: each root's preorder, which the index caches."""
+        if not chosen:
+            return []
+        index = self.model.index()
+        return [element for root in self.model.roots
+                for element in index.preorder(root) if id(element) in chosen]
 
     def _check_wellformed(self) -> List[Diagnostic]:
         from .uml.package import Package
@@ -513,7 +513,8 @@ class _PrivateModel(Model):
 def _resolve_scope(scope: Scope) -> Model:
     """The model a session checks: *scope* itself, the model its roots
     share, or a private model over them, so that element notifications
-    reach a session's incremental views."""
+    reach a session's incremental views.  A root belongs to one model,
+    so roots of different models are refused, before anything moves."""
     if isinstance(scope, Model):
         return scope
     if isinstance(scope, Element):
@@ -522,10 +523,15 @@ def _resolve_scope(scope: Scope) -> Model:
         roots = list(scope)
         if not roots:
             raise ValueError("incremental scope needs at least one root")
-    shared = getattr(roots[0], "_model", None)
-    if shared is not None and all(
-            getattr(root, "_model", None) is shared for root in roots):
+    shared = roots[0]._model
+    if shared is not None and all(root._model is shared for root in roots):
         return shared
+    for root in roots:
+        if root._model is not None \
+                and not root._model.releases_contained_roots:
+            raise ValueError(
+                f"{root!r} is a root of {root._model!r}, which the other "
+                f"roots of the scope do not share")
     model = _PrivateModel(f"urn:incremental:{roots[0].eid}")
     for root in roots:
         model.add_root(root)

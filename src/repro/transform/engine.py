@@ -149,6 +149,8 @@ class TransformationResult:
 
     def target_model(self, uri: str = "urn:target",
                      name: str = "target") -> Model:
+        """A new model over the target roots.  A root belongs to one
+        model, so a second call is refused (``RepositoryError``)."""
         model = Model(uri, name)
         for root in self.target_roots:
             model.add_root(root)

@@ -62,12 +62,8 @@ def _tally(plan):
 def _snapshot_lens(root, packages):
     """Clone *root* through the JSON round trip — the equality lens that
     is insensitive to serializer-invisible state (dangling refs etc.)."""
-    model = Model("urn:test:chaos")
-    model.add_root(root)
-    try:
-        return read_json(write_json(model), packages).roots[0]
-    finally:
-        model.remove_root(root)
+    return read_json(write_json(root, uri="urn:test:chaos"),
+                     packages).roots[0]
 
 
 def _chaos_round(root, generator, packages, plan, edits=40, seed=0):

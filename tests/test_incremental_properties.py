@@ -19,17 +19,22 @@ Two metamodels are covered: the self-contained ``genlib`` demo package
 (structural + invariants + well-formedness + lint).  Together the
 parametrisations form 200 (model, edit-sequence) pairs, plus pairs
 under the fuzzer's ``detached`` profile, whose edits write elements
-that left the tree but are still referenced.
+that left the tree but are still referenced.  Neither metamodel bounds
+many features from below, so a third, test-local one does: its pairs
+are where edits flip structural verdicts.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.generate import (EditFuzzer, demo_generator, demo_package,
-                            uml_generator)
+from repro.generate import (EditFuzzer, ModelGenerator, demo_generator,
+                            demo_package, uml_generator)
 from repro.analysis import LintConfig, ModelLinter
 from repro.incremental import IncrementalEngine, report_signature
+from repro.mof import (M_0N, M_11, M_1N, MString, Multiplicity,
+                       add_attribute, add_reference, define_class,
+                       define_package)
 from repro.mof.validate import validate_tree
 from repro.ocl.invariants import ConstraintSet
 from repro.session import Session
@@ -193,6 +198,59 @@ def test_detached_profile_reaches_external_reads():
     elements outside its scope on both metamodels."""
     assert _detached_pair(*_demo_case(0))
     assert _detached_pair(*_uml_case(7))
+
+
+STRICT_SEEDS = 20          # per profile
+STRICT_ROUNDS = 15
+EDITS_PER_STRICT_ROUND = 3
+
+
+def _strict_package():
+    """A metamodel whose lower bounds the generator leaves to chance: a
+    ``[1..1]`` attribute, a ``[1..*]`` containment and a ``[1..1]`` and
+    a ``[1..2]`` cross reference, each of which an edit can break or
+    mend."""
+    pkg = define_package("strictbounds", "urn:test:strictbounds")
+    hub = define_class(pkg, "SHub")
+    node = define_class(pkg, "SNode")
+    add_attribute(node, "label", MString, multiplicity=M_11)
+    add_reference(hub, "nodes", node, containment=True, multiplicity=M_1N)
+    add_reference(hub, "hubs", hub, containment=True, multiplicity=M_0N)
+    add_reference(node, "anchor", hub, multiplicity=M_11)
+    add_reference(node, "peers", node, multiplicity=Multiplicity(1, 2))
+    return pkg
+
+
+def _strict_pair(seed, profile):
+    """Run one strict-bounds pair; how many rounds changed its report."""
+    generator = ModelGenerator(_strict_package(), seed=seed)
+    root = generator.generate(30)
+    view = Session(root).watch(["structural"])
+
+    def oracle():
+        return report_signature(Session(root).check(["structural"]))
+
+    fuzzer = EditFuzzer(root, seed=seed + 40_000, generator=generator,
+                        profile=profile)
+    history, flips = [], 0
+    previous = report_signature(view.report())
+    for round_ in range(1, STRICT_ROUNDS + 1):
+        history += fuzzer.apply_random_edits(EDITS_PER_STRICT_ROUND)
+        _assert_equivalent(view, oracle, seed=seed, step=len(history),
+                           history=history,
+                           rerun=round_ == STRICT_ROUNDS)
+        current = report_signature(view.report())
+        flips += current != previous
+        previous = current
+    view.detach()
+    return flips
+
+
+@pytest.mark.parametrize("profile", ["default", "detached"])
+@pytest.mark.parametrize("seed", range(STRICT_SEEDS))
+def test_strict_bounds_pair(seed, profile):
+    """Structural verdicts that edits flip stay oracle-equal."""
+    assert _strict_pair(seed, profile)
 
 
 def test_pair_budget():

@@ -26,11 +26,60 @@ from repro.mof import (
     define_class,
     define_package,
     set_read_hook,
+    transaction,
 )
 from repro.incremental.tracking import collect_reads
 from repro.mof.validate import validate_element
 from repro.ocl.invariants import ConstraintSet
 from repro.session import Session
+
+
+def _instances(model, name):
+    return model.instances_of(demo_package().classifier(name), exact=True)
+
+
+def _books_of_a_full_shelf(model):
+    return next(shelf.eget("books") for shelf in _instances(model, "GShelf")
+                if len(shelf.eget("books")) >= 2)
+
+
+def _feature_another_book(model):
+    library = model.roots[0]
+    library.eset("featured", next(
+        book for book in _instances(model, "GBook")
+        if book is not library.eget("featured")))
+
+
+def _remove_a_book(model):
+    books = _books_of_a_full_shelf(model)
+    books.remove(books[0])
+
+
+def _move_a_book(model):
+    books = _books_of_a_full_shelf(model)
+    books.move(0, books[-1])
+
+
+def _abandon_a_write(model):
+    with pytest.raises(RuntimeError):
+        with transaction():
+            _instances(model, "GBook")[0].eset("pages", 7)
+            raise RuntimeError("abandon the edit")
+
+
+#: one of each kind of change a model sees, on the ``library_model``
+CHANGES = {
+    "attribute-write":
+        lambda model: _instances(model, "GBook")[0].eset("pages", 7),
+    "cross-reference-link": _feature_another_book,
+    "containment-add": lambda model: _instances(model, "GShelf")[0].eget(
+        "books").append(demo_package().classifier("GBook").instantiate()),
+    "containment-remove": _remove_a_book,
+    "containment-move": _move_a_book,
+    "add-root": lambda model: model.add_root(demo_generator(2).generate(10)),
+    "remove-root": lambda model: model.remove_root(model.roots[0]),
+    "aborted-transaction": _abandon_a_write,
+}
 
 
 @pytest.fixture
@@ -67,12 +116,48 @@ class TestColumnStoreMaintenance:
         book = demo_package().classifier("GBook")
         some_book = library_model.instances_of(book, exact=True)[0]
         before = list(store.block(book).columns["pages"])
-        invalidations = store.invalidations
+        rebuilds = store.rebuilds
         some_book.eset("pages", 123456)
-        assert store.invalidations > invalidations
         after = store.block(book).columns["pages"]
+        assert store.rebuilds > rebuilds
         assert 123456 in after
         assert before != after
+
+    def test_the_store_subscribes_to_nothing(self, library_model):
+        index = library_model.index()
+        observers = list(library_model._observers)
+        listeners = list(index.listeners)
+        library_model.enable_columns()
+        assert library_model._observers == observers
+        assert index.listeners == listeners
+
+    def test_an_unchanged_model_rebuilds_no_block(self, library_model):
+        session = Session(library_model, columnar=True)
+        first = session.check().to_json()
+        store = library_model.column_store()
+        rebuilds = store.rebuilds
+        assert rebuilds > 0
+        assert session.check().to_json() == first
+        assert store.rebuilds == rebuilds
+
+    @pytest.mark.parametrize("change", list(CHANGES))
+    def test_every_change_rebuilds_on_the_next_read(self, library_model,
+                                                    change):
+        store = library_model.enable_columns()
+        metaclasses = [demo_package().classifier(name) for name in
+                       ("GLibrary", "GShelf", "GBook", "GAuthor")]
+        for meta in metaclasses:
+            store.block(meta)
+        assert store.stats()["built"] == len(metaclasses)
+        CHANGES[change](library_model)
+        # any change leaves no block current...
+        assert store.stats()["built"] == 0
+        rebuilds = store.rebuilds
+        for meta in metaclasses:
+            store.block(meta)
+        # ...and the next read rebuilds each one from the model
+        assert store.rebuilds == rebuilds + len(metaclasses)
+        assert store.verify() == []
 
     def test_verify_reports_injected_divergence(self, library_model):
         store = library_model.enable_columns()

@@ -54,6 +54,14 @@ class TestModel:
         m.remove_root(lib)
         assert not m.roots
 
+    def test_a_root_belongs_to_one_model(self, model):
+        m, lib = model
+        other = Model("urn:m2")
+        with pytest.raises(RepositoryError, match="one model"):
+            other.add_root(lib)
+        assert m.roots == [lib] and other.roots == []
+        assert lib._model is m
+
 
 class TestRepository:
     def test_create_and_lookup(self):

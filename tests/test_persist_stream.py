@@ -90,8 +90,11 @@ def test_several_roots_and_colliding_eids(tmp_path):
         # generate_model gives each tree the same position-derived ids
         model = Model("urn:several")
         for seed in range(3):
-            model.add_root(generate_model("demo", size=120, seed=seed,
-                                          repair=False).model.roots[0])
+            source = generate_model("demo", size=120, seed=seed,
+                                    repair=False).model
+            root = source.roots[0]
+            source.remove_root(root)        # a root belongs to one model
+            model.add_root(root)
         return model
 
     text = assert_streams_the_reference(build, tmp_path)

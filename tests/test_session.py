@@ -288,6 +288,42 @@ class TestSessionSurface:
         with pytest.raises(CompositionError):
             outer.model.packaged_elements.append(inner.model)
 
+    @pytest.mark.parametrize("second_in_a_model", [True, False])
+    def test_roots_of_different_models_are_refused(self, second_in_a_model):
+        """A session over roots of two models (or of a model and none)
+        would have to take a root from a model document, whose
+        notifications would then no longer reach the session's views;
+        it is refused before any root moves."""
+        first = demo_generator(3).generate(20)
+        second = demo_generator(4).generate(20)
+        first_model = _as_model(first)
+        second_model = _as_model(second) if second_in_a_model else None
+        with pytest.raises(ValueError, match="do not share"):
+            Session([first, second])
+        assert first._model is first_model and first_model.roots == [first]
+        assert second._model is second_model
+        if second_model is not None:
+            assert second_model.roots == [second]
+
+    def test_a_model_takes_a_root_from_a_session(self):
+        """``Session(element)``'s private model gives its root up to a
+        model that adds it, and its index announces the leave."""
+        root = demo_generator(5).generate(20)
+        session = Session(root)
+        left = []
+
+        def on_transition(element, entered):
+            if not entered:
+                left.append(element)
+
+        session.model.index().listeners.append(on_transition)
+        model = Model("urn:takes")
+        model.add_root(root)
+        assert model.roots == [root] and root._model is model
+        assert session.model.roots == []
+        assert list(map(id, left)) == list(
+            map(id, [root, *root.all_contents()]))
+
     def test_default_families(self):
         root = uml_generator(1).generate(20)
         assert Session(root).check().families == DEFAULT_FAMILIES

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mof import RepositoryError
 from repro.transform import (
     FunctionRule,
     Rule,
@@ -200,6 +201,19 @@ class TestResultAndStats:
         result = Transformation("t", [copy]).run(factory.model)
         model = result.target_model("urn:out")
         assert model.uri == "urn:out"
+        assert len(model.roots) == 2
+
+    def test_target_roots_belong_to_one_model(self, simple_model):
+        factory, *_ = simple_model
+
+        @rule(Clazz)
+        def copy(source, ctx):
+            return Clazz(name=source.name)
+        result = Transformation("t", [copy]).run(factory.model)
+        model = result.target_model("urn:out")
+        with pytest.raises(RepositoryError, match="one model"):
+            result.target_model("urn:out")
+        assert all(root._model is model for root in result.target_roots)
         assert len(model.roots) == 2
 
     def test_primary_root_requires_output(self, simple_model):

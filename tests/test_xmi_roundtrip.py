@@ -272,9 +272,11 @@ class TestTagValuesMeanTheSameInBothFormats:
 
     @staticmethod
     def model_of(pump):
-        model = Model("urn:tags")
-        model.add_root(pump.container)
-        return model
+        # a root belongs to one model: the first call makes it
+        root = pump.container
+        if root._model is None:
+            Model("urn:tags").add_root(root)
+        return root._model
 
     def reload(self, pump, tmp_path, suffix):
         from repro.profiles import SPT

@@ -71,8 +71,11 @@ def _colliding_roots():
     # generate_model gives each tree the same position-derived ids
     model = Model("urn:colliding", "colliding")
     for seed in (0, 1):
-        model.add_root(generate_model("demo", size=120, seed=seed,
-                                      repair=False).model.roots[0])
+        source = generate_model("demo", size=120, seed=seed,
+                                repair=False).model
+        root = source.roots[0]
+        source.remove_root(root)            # a root belongs to one model
+        model.add_root(root)
     return model
 
 
