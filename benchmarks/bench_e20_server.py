@@ -154,7 +154,7 @@ def test_e20_shared_view_and_cross_repo_isolation():
     editors = [InProcessClient(server) for _ in range(3)]
     try:
         reader.request("check", repo="quiet")
-        (view,) = server.repo("quiet").views.values()
+        view = server.repo("quiet").engine
         baseline = (view.stats.invalidations, view.stats.unit_runs)
         epoch = 0
         for index, client in enumerate(editors * 4):
@@ -178,10 +178,10 @@ def test_e20_shared_view_and_cross_repo_isolation():
         assert after == baseline
         assert not view._dirty
         # shared: every editor's checks rode the busy repo's one view
-        views = server.repo("busy").views
-        assert len(views) == 1
+        views = server.repo("busy").summary()["views"]
+        assert views == 1
         print(f"  {len(editors)} editor connections -> "
-              f"{len(views)} shared view")
+              f"{views} shared view")
     finally:
         reader.close()
         for client in editors:

@@ -6,15 +6,18 @@ CI drives the real CLI surface end to end, the way a team would:
    pre-loading a generated corpus;
 2. pipeline BURST `check` frames over one raw connection in one write
    and require BURST `ok` replies in request order;
-3. race 4 concurrent TCP editors on the same epoch, each committing
+3. check three other family selections and watch a fourth, and require
+   the repository's `stats` to report one view: a selection is a filter
+   of the repository's one incremental view, not a view of its own;
+4. race 4 concurrent TCP editors on the same epoch, each committing
    EDITS edit-txns through a RetryPolicy (jittered backoff replaying
    conflicts with a refreshed base_epoch) — assert nothing is lost
    (final epoch == total applied, zero failures);
-4. verify over `rpc`-style requests that check/stats still answer, that
+5. verify over `rpc`-style requests that check/stats still answer, that
    the editors' checks all rode one shared view of the repository, and
    that a connection which never checked still sees that view's
    `engine` block in `stats`;
-5. SIGINT the server and require a clean "shutting down" exit 0.
+6. SIGINT the server and require a clean "shutting down" exit 0.
 
 Exits non-zero (with a reason on stderr) on any violation.
 """
@@ -32,6 +35,10 @@ import time
 EDITORS = 4
 EDITS = 5
 BURST = 200
+#: the family selections step 3 checks, and the one it watches
+SELECTIONS = (["structural"], ["lint", "invariant"],
+              ["consistency", "wellformed"])
+WATCHED = ["lint"]
 
 
 def fail(reason):
@@ -63,6 +70,27 @@ def pipelined_burst(host, port):
     if [reply["id"] for reply in replies] != list(range(1, BURST + 1)):
         fail("pipelined burst: replies out of request order")
     print(f"server_smoke: {BURST} pipelined checks answered ok, in order")
+
+
+def selections_share_one_view(host, port):
+    """Check SELECTIONS and watch WATCHED; each check must list exactly
+    its families, and the repository must still hold one view."""
+    from repro.server import TcpClient
+
+    with TcpClient(host, port) as client:
+        for families in SELECTIONS:
+            document = client.request("check", repo="main",
+                                      families=families)
+            if sorted(document["families"]) != sorted(families):
+                fail(f"check of {families} listed "
+                     f"{list(document['families'])}")
+        client.request("watch", repo="main", families=WATCHED)
+        views = client.request("stats")["server"]["repos"]["main"]["views"]
+    if views != 1:
+        fail(f"{views} views of main after checks of {len(SELECTIONS)} "
+             f"selections and a watch of another; want one view")
+    print(f"server_smoke: {len(SELECTIONS)} checked selections and a "
+          f"watched one share one view")
 
 
 def main():
@@ -107,6 +135,7 @@ def main():
         if stats["model"]["elements"] != session.model.size():
             fail("stats element count mismatch")
         pipelined_burst(host, port)
+        selections_share_one_view(host, port)
 
         failures = []
         replays = []

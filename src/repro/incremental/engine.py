@@ -323,8 +323,7 @@ class IncrementalEngine:
     session decides everything about the selected *families* (``None``
     for its default selection): which families they are, in which
     order, and what each runs, from its constraint sets, its rule
-    registry and the lint config of
-    :meth:`~repro.session.Session._lint_config`.  Each family runs as
+    registry and its lint config.  Each family runs as
     its own unit kind (well-formedness rules only for roots that are
     UML packages), so :meth:`check_result` lists the families
     :meth:`~repro.session.Session.check` lists.
@@ -342,7 +341,7 @@ class IncrementalEngine:
         self.rule_families = [family for family in RULE_FAMILIES
                               if family in families]
         self.registry = session.registry
-        self.config = session._lint_config(families)
+        self.config = session.lint_config
 
         # unit key -> insertion sequence number (see _Unit)
         self._units: Dict[tuple, int] = {}

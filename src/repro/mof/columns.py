@@ -25,10 +25,10 @@ to nothing:
 * :attr:`ModelIndex.changes <repro.mof.index.ModelIndex.changes>` counts
   every notification (any write, link, containment change, move or
   rollback inverse on a model element) and root change the index sees.
-  Each block keeps the count it was built at, and
-  :meth:`ColumnStore.block` rebuilds a block whose count is behind.
-  Any change makes every block stale; a full pass re-reads blocks only
-  over an unchanged model.
+  The store keeps the one count its blocks were built at; once the
+  count has moved, its next read drops every block (so none keeps a
+  deleted element alive) and builds the one asked for.  A full pass
+  re-reads blocks only over an unchanged model.
 * While dependency tracking is active, ``Model.column_store()`` answers
   ``None``, so callers take the per-object path the incremental engine
   can observe.  A counting read probe alone (such as
@@ -79,15 +79,10 @@ def _raw_items(element: Element, feature: Feature) -> Tuple[Any, ...]:
 class ExtentColumns:
     """The struct-of-arrays image of one exact-metaclass extent."""
 
-    __slots__ = ("meta", "changes", "elements", "columns", "kinds")
+    __slots__ = ("meta", "elements", "columns", "kinds")
 
     def __init__(self, meta: MetaClass):
         self.meta = meta
-        #: the index's change count the block was built at (-1: never)
-        self.changes = -1
-        self.elements: List[Element] = []
-        self.columns: Dict[str, Any] = {}
-        self.kinds: Dict[str, str] = {}
 
     def build(self, elements: List[Element]) -> None:
         self.elements = elements
@@ -129,8 +124,7 @@ class ExtentColumns:
         return total
 
     def __repr__(self) -> str:
-        return (f"<ExtentColumns {self.meta.name} rows={len(self.elements)} "
-                f"changes={self.changes}>")
+        return f"<ExtentColumns {self.meta.name} rows={len(self.elements)}>"
 
 
 class ColumnStore:
@@ -146,6 +140,8 @@ class ColumnStore:
         self.model = model
         self._index = model.index()
         self._blocks: Dict[MetaClass, ExtentColumns] = {}
+        #: the index's change count the blocks were built at
+        self.changes = -1
         self.rebuilds = 0
 
     # -- block access ------------------------------------------------------
@@ -156,17 +152,23 @@ class ColumnStore:
         return list(self._index._extent.keys())
 
     def block(self, meta: MetaClass) -> ExtentColumns:
-        """The column block for *meta*'s exact extent, rebuilt first if
-        the model changed since it was built."""
-        block = self._blocks.get(meta)
+        """The column block for *meta*'s exact extent, built first if
+        the model changed since the blocks were built."""
+        blocks = self._current()
+        block = blocks.get(meta)
         if block is None:
-            block = self._blocks[meta] = ExtentColumns(meta)
-        changes = self._index.changes
-        if block.changes != changes:
+            block = blocks[meta] = ExtentColumns(meta)
             block.build(self._index.instances_of(meta, exact=True))
-            block.changes = changes
             self.rebuilds += 1
         return block
+
+    def _current(self) -> Dict[MetaClass, ExtentColumns]:
+        """The blocks, after dropping them all if the model changed
+        since they were built."""
+        if self.changes != self._index.changes:
+            self._blocks.clear()
+            self.changes = self._index.changes
+        return self._blocks
 
     # -- structural suspect scan ------------------------------------------
 
@@ -275,10 +277,7 @@ class ColumnStore:
         """Cross-check every current block against per-object reads;
         return a list of discrepancies (the property-test oracle)."""
         problems: List[str] = []
-        changes = self._index.changes
-        for meta, block in self._blocks.items():
-            if block.changes != changes:
-                continue
+        for meta, block in self._current().items():
             expected = self._index.instances_of(meta, exact=True)
             if [id(e) for e in expected] != [id(e) for e in block.elements]:
                 problems.append(
@@ -307,12 +306,10 @@ class ColumnStore:
         return problems
 
     def stats(self) -> Dict[str, Any]:
-        changes = self._index.changes
-        current = [block for block in self._blocks.values()
-                   if block.changes == changes]
+        current = self._current().values()
         return {
             "enabled": True,
-            "extents": len(self._blocks),
+            "extents": len(current),
             "built": len(current),
             "bytes": sum(block.nbytes() for block in current),
             "rebuilds": self.rebuilds,

@@ -1243,8 +1243,21 @@ class Element(ObserverMixin, metaclass=MofMeta):
         feature = self.meta.feature(name)
         if feature.many:
             _get_value(self, feature).clear()
-        else:
+        elif isinstance(feature, Reference):
             _set_value(self, feature, None)
+        else:
+            # the slot goes, so the attribute reads its default and
+            # eis_set is false, as after a reload; a rollback restores old
+            if _WRITE_HOOK is not None:
+                _WRITE_HOOK(self, feature.name)
+            if _faults.ACTIVE is not None:
+                _faults.probe("kernel.write")
+            _check_mutable(self)
+            if feature.name in self._slots:
+                old = self._slots.pop(feature.name)
+                self._notify(Notification(self, feature, ChangeKind.UNSET,
+                                          old=old,
+                                          new=feature.default_value()))
 
     def eis_set(self, name: str) -> bool:
         feature = self.meta.feature(name)

@@ -21,8 +21,8 @@ close      watch teardown for one connection
 
 Isolation is optimistic: every repository carries an *edit epoch*, a
 stale ``edit-txn`` is rejected with a replayable ``conflict`` error,
-and every connection checking a family selection of a repository reads
-one shared, warm incremental view of it.  See
+and every connection of a repository reads its one shared, warm
+incremental view, whatever families it selects.  See
 :mod:`repro.server.dispatch` for the concurrency model and
 :mod:`repro.server.protocol` for the wire contract.
 

@@ -27,21 +27,22 @@ Concurrency model
   repository's own lock, which orders a repository's checks and edits
   by epoch.  Checks of different repositories contend for that lock;
   ``ping`` and ``close`` do not take it.
-* **One shared incremental view per (repository, family selection).**
-  ``check`` rides the repository's view: one
-  :class:`~repro.incremental.IncrementalEngine` per selection, built by
-  ``Session.watch`` on first use and kept for the repository's
-  lifetime.  ``check``, the ``watch`` fan-out and ``stats`` read it
-  under the repository lock and the edit lock, so a committed epoch is
-  revalidated once per selection, not once per connection, and
-  ``close`` tears down only the connection's watches.  Edits to a
-  *different* repository never invalidate a view; committed edits to
-  the same one mark the precisely affected units dirty.
+* **One incremental view per repository.**  ``check`` rides the
+  repository's :class:`~repro.incremental.IncrementalEngine` over the
+  session's default families, built on first use and kept for the
+  repository's lifetime.  A family reports the same diagnostics
+  whatever else is selected, so each selection is a filter of it
+  (:meth:`RepoState.result`).  ``check``, the ``watch`` fan-out and
+  ``stats`` read it under the repository lock and the edit lock, so a
+  committed epoch is revalidated once, and ``close`` tears down only
+  the connection's watches.  Edits to a *different* repository never
+  invalidate a view; committed edits to the same one mark the
+  precisely affected units dirty.
 
 Backpressure and failure isolation surface through ``repro.obs``:
 ``server.requests`` (by verb/outcome), ``server.conflicts``,
 ``server.latency`` histograms, and the ``stats`` verb, which also
-reports the default view's checker quarantine.
+reports the view's checker quarantine.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from ..mof.repository import Model
 from ..mof.txn import transaction
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from ..session import Session, _as_severity
+from ..session import CheckResult, Session, _as_severity
 from . import durability as _durability
 from .protocol import (
     Encoded,
@@ -219,7 +220,7 @@ def _severity_param(params: Dict[str, Any]) -> Any:
 
 class RepoState:
     """One hosted repository: a session, its edit epoch, watchers and
-    shared incremental views."""
+    its one incremental view."""
 
     def __init__(self, name: str, session: Session):
         self.name = name
@@ -234,13 +235,12 @@ class RepoState:
         # appended inside the edit transaction, before the epoch bump
         # is acknowledged.
         self.wal: Optional[_durability.WriteAheadLog] = None
-        # resolved family selection -> the engine every connection
-        # checking that selection reads, under ``lock``
-        self.views: Dict[Tuple[str, ...], IncrementalEngine] = {}
+        # the view over the session's default families that every
+        # connection reads, under ``lock``; built on first use
+        self.engine: Optional[IncrementalEngine] = None
 
     def selection(self, families: Any) -> Tuple[str, ...]:
-        """Resolve a wire ``families`` param to its view key (canonical
-        order, so both orderings of a selection share one view)."""
+        """The families of a wire ``families`` param, canonically ordered."""
         if families is not None and not isinstance(families, list):
             raise ServerError("bad-params",
                               "'families' must be a list of family names")
@@ -249,15 +249,16 @@ class RepoState:
         except ValueError as exc:
             raise ServerError("bad-params", str(exc))
 
-    def view(self, selection: Tuple[str, ...]) -> IncrementalEngine:
-        """The shared view of *selection*, revalidated to the current
-        epoch and built on first use; the caller holds ``lock``."""
-        view = self.views.get(selection)
-        if view is None:
-            view = self.views[selection] = self.session.watch(selection)
+    def result(self, selection: Tuple[str, ...]) -> CheckResult:
+        """*selection*'s families of the view's result, empty for one
+        the view lacks, built on first use; the caller holds ``lock``."""
+        if self.engine is None:
+            self.engine = self.session.watch()
         else:
-            view.revalidate()
-        return view
+            self.engine.revalidate()
+        by_family = self.engine.check_result().by_family
+        return CheckResult({family: by_family.get(family, [])
+                            for family in selection})
 
     def summary(self) -> Dict[str, Any]:
         document = {
@@ -269,7 +270,7 @@ class RepoState:
             "edits_applied": self.edits_applied,
             "edits_rejected": self.edits_rejected,
             "watchers": len(self.watchers),
-            "views": len(self.views),
+            "views": int(self.engine is not None),
         }
         if self.wal is not None:
             document["wal"] = self.wal.stats()
@@ -416,9 +417,9 @@ class ModelServer:
             conn.cleanup()
         for state in states:
             with state.lock:
-                for view in state.views.values():
-                    view.detach()
-                state.views.clear()
+                if state.engine is not None:
+                    state.engine.detach()
+                    state.engine = None
                 if state.wal is not None:
                     state.wal.close()
 
@@ -640,7 +641,7 @@ class ServerConnection:
         with state.lock, self.server._edit_lock:
             self.check_deadline()     # we may have queued behind edits
             if params.get("incremental", True):
-                result = state.view(selection).check_result()
+                result = state.result(selection)
             else:
                 result = state.session.check(selection)
             return Encoded(result.filtered(severity).encode(
@@ -716,15 +717,15 @@ class ServerConnection:
         """Push a diagnostics event to every watcher of *state*.
 
         Runs with the repo lock and the edit lock held (we are still
-        inside the committing request), so each watched view revalidates
-        against exactly the committed epoch, once however many
-        connections watch it.
+        inside the committing request), so the view revalidates against
+        exactly the committed epoch, once however many connections
+        watch it.
         """
         for conn in list(state.watchers.values()):
             spec = conn.watching.get(state.name)
             if spec is None:
                 continue
-            result = state.view(spec["families"]).check_result() \
+            result = state.result(spec["families"]) \
                 .filtered(spec["severity"])
             document = Encoded(result.encode()) if spec["full"] \
                 else result.summary()
@@ -744,7 +745,7 @@ class ServerConnection:
                 "full": bool(params.get("full", False))}
         with state.lock, self.server._edit_lock:
             # counted as the events will be: with the watch's own filter
-            summary = state.view(spec["families"]).check_result() \
+            summary = state.result(spec["families"]) \
                 .filtered(spec["severity"]).summary()
             self.watching[state.name] = spec
             state.watchers[self.id] = self
@@ -755,13 +756,13 @@ class ServerConnection:
     def _verb_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Server-wide stats; with ``repo``, that session's stats dict
         (a passthrough of :meth:`repro.session.Session.stats`) plus the
-        default-selection view's engine/quarantine state, once built."""
+        view's engine/quarantine state, once built."""
         if "repo" in params:
             state = self._repo_param(params)
             with state.lock, self.server._edit_lock:
                 document = state.session.stats()
                 document["server"] = state.summary()
-                view = state.views.get(state.selection(None))
+                view = state.engine
                 if view is not None:
                     document["engine"] = {
                         "units": view.unit_count(),

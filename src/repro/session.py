@@ -241,7 +241,10 @@ class Session:
     that model, ``self.model``.  *constraint_sets* supplies detached
     :class:`~repro.ocl.invariants.ConstraintSet` groups for the
     ``constraint`` family; *registry*/*lint_config* parameterize the
-    ``lint`` family.
+    ``lint`` family, whose default config disables the ``uml-wellformed``
+    bridge rule: the ``wellformed`` family reports the uml-* rules it
+    would repeat.  So a family reports the same diagnostics whatever
+    else a check selects.
     """
 
     def __init__(self, scope: Scope, *,
@@ -252,7 +255,8 @@ class Session:
         self.model = _resolve_scope(scope)
         self.constraint_sets = list(constraint_sets)
         self.registry = DEFAULT_REGISTRY if registry is None else registry
-        self.lint_config = lint_config
+        self.lint_config = (LintConfig(disabled={"uml-wellformed"})
+                            if lint_config is None else lint_config)
         if columnar:
             # per-metaclass struct-of-arrays extents (repro.mof.columns):
             # the structural, invariant and constraint families scan
@@ -309,11 +313,7 @@ class Session:
             for family in selected:
                 with (_trace.span(f"session.check.{family}")
                       if _trace.ON else _trace.NULL_SPAN):
-                    if family == "lint":
-                        by_family[family] = self._check_lint(selected)
-                    else:
-                        by_family[family] = getattr(
-                            self, f"_check_{family}")()
+                    by_family[family] = getattr(self, f"_check_{family}")()
         result = CheckResult(by_family)
         if _trace.ON:
             for family in selected:
@@ -400,19 +400,8 @@ class Session:
                 out.extend(run_wellformed_rules(root).diagnostics)
         return out
 
-    def _lint_config(self, selected: Tuple[str, ...]) -> LintConfig:
-        """The lint config of a run of the *selected* families: the
-        session's own, or by default one that disables the
-        ``uml-wellformed`` bridge rule when the wellformed family
-        already reports the uml-* rules it would repeat."""
-        if self.lint_config is not None:
-            return self.lint_config
-        return LintConfig(disabled={"uml-wellformed"}
-                          if "wellformed" in selected else set())
-
-    def _check_lint(self, selected: Tuple[str, ...] = ()
-                    ) -> List[Diagnostic]:
-        linter = ModelLinter(self.registry, self._lint_config(selected))
+    def _check_lint(self) -> List[Diagnostic]:
+        linter = ModelLinter(self.registry, self.lint_config)
         return list(linter.lint(*self.model.roots).diagnostics)
 
     def _check_consistency(self) -> List[Diagnostic]:

@@ -12,7 +12,9 @@ ModelIndex.  Everything here pivots on two properties:
   per-object checker, never change what it reports.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -158,6 +160,30 @@ class TestColumnStoreMaintenance:
         # ...and the next read rebuilds each one from the model
         assert store.rebuilds == rebuilds + len(metaclasses)
         assert store.verify() == []
+
+    def test_stale_blocks_do_not_keep_deleted_elements_alive(self):
+        """Deleting a shelf's books after a columnar pass and reading
+        one block leaves alive only the books a column-free session
+        keeps too (one-way references hold some of them)."""
+        def alive_after_deletes(columnar):
+            model = Model(f"urn:pins-{columnar}")
+            model.add_root(demo_generator(1).generate(2000))
+            Session(model, columnar=columnar).check(
+                ["structural", "invariant"])
+            shelf = max(_instances(model, "GShelf"),
+                        key=lambda shelf: len(shelf.books))
+            books = [weakref.ref(book) for book in shelf.books]
+            for book in books:
+                book().delete()
+            if columnar:
+                model.column_store().block(
+                    demo_package().classifier("GBook"))
+            gc.collect()
+            return [book() is not None for book in books]
+
+        plain = alive_after_deletes(False)
+        assert len(plain) > sum(plain)
+        assert alive_after_deletes(True) == plain
 
     def test_verify_reports_injected_divergence(self, library_model):
         store = library_model.enable_columns()

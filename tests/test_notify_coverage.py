@@ -73,6 +73,21 @@ class TestAttributeSet:
         book.eunset("name")
         assert last(recorder).kind == ChangeKind.UNSET
 
+    def test_eunset_drops_the_slot_and_reads_the_default(self, book):
+        book.pages = 7
+        recorder = record(book)
+        book.eunset("pages")
+        n = last(recorder)
+        assert (n.kind, n.old, n.new) == (ChangeKind.UNSET, 7, 100)
+        assert book.pages == 100 and not book.eis_set("pages")
+        assert "pages" not in book._slots
+
+    def test_eunset_of_an_attribute_never_set_is_silent(self, book):
+        recorder = record(book)
+        book.eunset("pages")
+        assert len(recorder) == 0
+        assert book.pages == 100 and "pages" not in book._slots
+
     def test_set_same_value_is_silent(self, book):
         book.pages = 150
         recorder = record(book)

@@ -27,7 +27,7 @@ from repro.server import (
     serve_tcp,
 )
 from repro.server.protocol import event_frame, request_frame, response_frame
-from repro.session import Session
+from repro.session import FAMILIES, Session
 
 
 @pytest.fixture
@@ -203,39 +203,90 @@ class TestVerbs:
 
 
 class TestSharedView:
-    """Every connection checking one family selection of a repository
-    reads one shared incremental view, keyed by the resolved selection
-    and kept for the repository's lifetime."""
+    """Every connection of a repository reads its one incremental view,
+    over the session's default families and kept for the repository's
+    lifetime; a family selection is a filter of that view."""
+
+    #: both orderings of a pair, every single family, more pairs and
+    #: the default
+    SELECTIONS = ([["structural", "invariant"], ["invariant", "structural"]]
+                  + [[family] for family in FAMILIES]
+                  + [["wellformed", "lint"], ["lint", "consistency"],
+                     ["invariant", "constraint"], None])
 
     def test_two_connections_share_one_view(self, server):
         state = host_corpus(server)
         with InProcessClient(server) as first, \
                 InProcessClient(server) as second:
             mine = first.request("check", repo="main")
-            (view,) = state.views.values()
+            view = state.engine
             theirs = second.request("check", repo="main")
             assert json.dumps(theirs) == json.dumps(mine)
             # severity filters the view's result; it is not a key
             second.request("check", repo="main", severity="error")
-            assert list(state.views.values()) == [view]
+            assert state.engine is view
         # closing connections leaves the view attached and in place
-        assert state.views == {state.selection(None): view}
-        assert view._attached
+        assert state.engine is view and view._attached
         server.shutdown()
-        assert state.views == {} and not view._attached
+        assert state.engine is None and not view._attached
 
     def test_selection_orderings_share_one_view(self, server):
         state = host_corpus(server)
         with InProcessClient(server) as client:
             client.request("check", repo="main",
                            families=["structural", "invariant"])
-            (view,) = state.views.values()
+            view = state.engine
             runs = view.stats.unit_runs
             for families in (["invariant", "structural"],
                              ["structural", "invariant"]) * 2:
                 client.request("check", repo="main", families=families)
-            assert list(state.views.values()) == [view]
+            assert state.engine is view
             assert view.stats.unit_runs == runs
+
+    @pytest.mark.parametrize("package", ["demo", "uml"])
+    def test_every_selection_is_a_filter_of_one_view(self, server, package):
+        """Checks of any selection and a watch of another leave one
+        engine and one more index listener, rerun no unit once the view
+        is built, and serve what a fresh ``Session.check`` of the
+        selection reports."""
+        from test_session import _corpus_constraint_set
+        generator = (demo_generator if package == "demo"
+                     else uml_generator)(seed=5)
+        server.attach("main", Session(
+            generator.generate(120),
+            constraint_sets=[_corpus_constraint_set()]))
+        state = server.repo("main")
+        listeners = len(state.model.index().listeners)
+        with InProcessClient(server) as client, \
+                InProcessClient(server) as watcher:
+            watcher.request("watch", repo="main",
+                            families=["consistency", "structural"])
+            view = state.engine
+            runs = view.stats.unit_runs
+            for families in self.SELECTIONS:
+                served = client.request("check", repo="main",
+                                        families=families)
+                fresh = state.session.check(families).to_json()
+                assert list(served["families"]) == list(fresh["families"])
+                for key in ("ok", "errors", "warnings", "infos"):
+                    assert served[key] == fresh[key], (families, key)
+                assert diagnostic_multiset(served) == \
+                    diagnostic_multiset(fresh), families
+            summary = client.request("stats")["server"]["repos"]["main"]
+        assert summary["views"] == 1
+        assert state.engine is view
+        assert view.stats.unit_runs == runs
+        assert len(state.model.index().listeners) == listeners + 1
+
+    def test_a_family_the_view_lacks_is_served_empty(self, server):
+        state = host_corpus(server)
+        with InProcessClient(server) as client:
+            served = client.request("check", repo="main",
+                                    families=["constraint", "invariant"])
+        assert "constraint" not in state.engine.families
+        assert served["families"]["constraint"] == []
+        fresh = state.session.check(["constraint", "invariant"]).to_json()
+        assert diagnostic_multiset(served) == diagnostic_multiset(fresh)
 
     def test_watcher_with_second_selection_never_rebuilds(self, server):
         state = host_corpus(server)
@@ -244,21 +295,17 @@ class TestSharedView:
                 InProcessClient(server) as editor:
             watcher.request("watch", repo="main")
             watcher.request("check", repo="main", families=["structural"])
-            views = dict(state.views)
-            assert len(views) == 2
-            runs = {key: view.stats.unit_runs
-                    for key, view in views.items()}
+            view = state.engine
+            runs = view.stats.unit_runs
             for epoch in range(2):
                 editor.request("edit-txn", repo="main", base_epoch=epoch,
                                ops=[rename_op(eid, f"Watched{epoch}")])
                 watcher.request("check", repo="main",
                                 families=["structural"])
             assert len(watcher.drain_events()) == 2
-            assert state.views.keys() == views.keys()
-            for key, view in views.items():
-                assert state.views[key] is view and view._attached
-                # revalidated, not rebuilt: far fewer runs than units
-                assert view.stats.unit_runs - runs[key] < view.unit_count()
+            assert state.engine is view and view._attached
+            # revalidated, not rebuilt: far fewer runs than units
+            assert view.stats.unit_runs - runs < view.unit_count()
 
     def test_rejected_selection_never_serves_a_stale_view(self, server):
         state = host_corpus(server, size=200)
@@ -344,13 +391,11 @@ class TestSharedView:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         assert state.epoch == 24
-        assert list(state.views) == [("structural", "invariant")]
         assert len(state.model.index().listeners) == listeners + 1
         with InProcessClient(server) as client:
             served = client.request("check", repo="main",
                                     families=selections[0])
-        (view,) = state.views.values()
-        assert view.verify() == []
+        assert state.engine.verify() == []
         fresh = state.session.check(selections[0]).to_json()
         assert diagnostic_multiset(served) == diagnostic_multiset(fresh)
 
@@ -590,7 +635,7 @@ class TestEditTxn:
             with pytest.raises(RemoteError) as excinfo:
                 watcher.request("watch", repo="main", **bad)
             assert excinfo.value.code == "bad-params"
-            assert state.watchers == {} and state.views == {}
+            assert state.watchers == {} and state.engine is None
             # editors keep committing cleanly
             result = editor.request("edit-txn", repo="main", base_epoch=0,
                                     ops=[rename_op(eid, "Unwatched")])
@@ -617,7 +662,7 @@ class TestEditTxn:
         state = host_corpus(server)
         with InProcessClient(server) as client:
             client.request("check", repo="main")
-            (view,) = state.views.values()
+            view = state.engine
 
             def counted():
                 # counted afresh from every unit's reads
@@ -671,7 +716,7 @@ def dict_check_frame(state, request_id, params):
     ``repo`` and ``epoch``."""
     selection = state.selection(params.get("families"))
     if params.get("incremental", True):
-        result = state.views[selection].check_result()
+        result = state.result(selection)
     else:
         result = state.session.check(selection)
     document = result.filtered(params.get("severity")).to_json()
@@ -702,7 +747,7 @@ class TestSplicedFrames:
                 params
             served[json.dumps(params)] = json.loads(line)["result"]
         document = served["{}"]
-        view = state.views[state.selection(None)]
+        view = state.engine
         assert event == encode_frame(event_frame(
             "diagnostics", repo=state.name, epoch=state.epoch,
             touched=touched, data=view.check_result().to_json()))
@@ -784,7 +829,7 @@ class TestIsolation:
         editor = InProcessClient(server)
         try:
             reader.request("check", repo="alpha")
-            (view,) = alpha.views.values()
+            view = alpha.engine
             baseline = view.stats.invalidations
             editor.request(
                 "edit-txn", repo="beta", base_epoch=0,
@@ -801,7 +846,7 @@ class TestIsolation:
         editor = InProcessClient(server)
         try:
             reader.request("check", repo="alpha")
-            (view,) = state.views.values()
+            view = state.engine
             baseline = view.stats.invalidations
             editor.request(
                 "edit-txn", repo="alpha", base_epoch=0,
@@ -856,7 +901,7 @@ class TestIsolation:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         for state, other in (states, reversed(states)):
-            view = state.views[state.selection(None)]
+            view = state.engine
             others = {id(element) for element in other.model.all_elements()}
             assert not others & set(view._external)
             with InProcessClient(server) as client:

@@ -221,6 +221,30 @@ class TestRecovery:
                      if durability.SNAPSHOT_MARKER in n]
         assert len(snapshots) == 1
 
+    def test_an_unset_attribute_recovers_as_acknowledged(self, tmp_path):
+        """``unset`` drops the slot, so the attribute reads its default
+        live and after recovery from the snapshot the edit compacted
+        into, and the two check documents agree."""
+        server = ModelServer(wal_dir=str(tmp_path), wal_compact_every=1)
+        state = host_corpus(server, size=300, seed=3)
+        book = next(element for element in state.model.all_elements()
+                    if element.meta.name == "GBook"
+                    and element.eis_set("pages"))
+        default = book.meta.feature("pages").default_value()
+        assert book.pages != default
+        with InProcessClient(server) as client:
+            client.request("edit-txn", repo="main", base_epoch=0, ops=[
+                {"op": "unset", "element": book.eid, "feature": "pages"}])
+        assert state.wal.compactions == 1
+        live = canonical_check_document(state.session.check().to_json())
+        server.shutdown()
+        recovered = ModelServer(wal_dir=str(tmp_path)).repo("main")
+        again = recovered.model.index().resolve_eid(book.eid)
+        assert book.pages == again.pages == default
+        assert not book.eis_set("pages") and not again.eis_set("pages")
+        assert canonical_check_document(
+            recovered.session.check().to_json()) == live
+
     def test_load_verb_is_wal_backed_too(self, tmp_path):
         from repro.cli import save_model
 

@@ -8,11 +8,12 @@ model corpus (:mod:`repro.generate`).  The corpus loops below cover
 100+ (model, family) cases.
 """
 
+import itertools
 import json
 
 import pytest
 
-from repro.analysis import ModelLinter
+from repro.analysis import LintConfig, ModelLinter
 from repro.generate import (EditFuzzer, demo_generator, demo_package,
                             uml_generator)
 from repro.incremental import report_signature
@@ -102,9 +103,11 @@ class TestParity:
 
     @pytest.mark.parametrize("seed", UML_SEEDS)
     def test_lint_model_uml_corpus(self, seed):
-        # 15 models x 1 family (lint) = 15 cases
+        # 15 models x 1 family (lint) = 15 cases; the session's lint
+        # family leaves the uml-* rules to the wellformed family
         root = uml_generator(seed).generate(40)
-        reference = ModelLinter().lint(root)
+        reference = ModelLinter(
+            config=LintConfig(disabled={"uml-wellformed"})).lint(root)
         new = Session(root).check(families=("lint",))
         assert _signature(reference.diagnostics) == \
             _signature(new.diagnostics)
@@ -184,6 +187,27 @@ class TestParity:
             assert view.verify() == []
         finally:
             view.detach()
+
+    @pytest.mark.parametrize("generator,seed",
+                             [(demo_generator, 3), (demo_generator, 8),
+                              (uml_generator, 2), (uml_generator, 6)],
+                             ids=["demo-3", "demo-8", "uml-2", "uml-6"])
+    def test_a_family_reports_alike_in_every_selection(self, generator,
+                                                        seed):
+        """Each family's list in ``check(S)`` is byte-identical to its
+        list in ``check(FAMILIES)``, for every non-empty subset S of
+        the families, so a selection is a filter of one full check."""
+        session = Session(generator(seed).generate(60),
+                          constraint_sets=[_corpus_constraint_set()])
+        full = session.check(FAMILIES).to_json()["families"]
+        assert sum(1 for found in full.values() if found) >= 2
+        for size in range(1, len(FAMILIES) + 1):
+            for selection in itertools.combinations(FAMILIES, size):
+                served = session.check(selection).to_json()["families"]
+                assert list(served) == list(selection)
+                for family in selection:
+                    assert json.dumps(served[family]) == \
+                        json.dumps(full[family]), (selection, family)
 
     def test_constraint_family_covers_every_root(self):
         """A session over one root of a two-root model checks the whole
